@@ -7,7 +7,7 @@ an algorithm-comparison benchmark.
 """
 
 from .apriori import MinerConfig, generate_candidates, mine_apriori
-from .bench import ComparisonReport, compare, time_run
+from .bench import ComparisonReport, compare
 from .fpgrowth import FPTree, build_fptree, mine_fpgrowth, mine_fptree
 from .model import (
     FrequentItemset,
@@ -53,7 +53,6 @@ __all__ = [
     "mine_fptree",
     "rule_metrics",
     "support_cutoff",
-    "time_run",
 ]
 
 __version__ = "0.1.0"

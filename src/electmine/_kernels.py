@@ -8,7 +8,7 @@ matrix. Two backends produce identical counts:
   * "numpy"  - a blocked matrix-product formulation, no JIT
 
 Select with the ELECTMINE_BACKEND environment variable ("auto", "numba",
-"numpy"). benchmarks/bench_backends.py compares the two.
+"numpy"). electbench/run.py records which one ran.
 """
 
 from __future__ import annotations

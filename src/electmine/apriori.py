@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .model import FrequentItemset, ItemSet, TransactionDb, itemset_sort_key, support_cutoff
@@ -48,28 +48,13 @@ def generate_candidates(frequent_k_minus_1: Sequence[ItemSet], k: int) -> list[I
     return candidates
 
 
-def naive_candidates(frequent_k_minus_1: Sequence[ItemSet], k: int) -> list[ItemSet]:
-    """Unpruned generation: every k-subset of the items seen at level k-1.
-
-    Semantically interchangeable with generate_candidates (extra candidates
-    are infrequent by downward closure and die in counting); kept as the
-    fidelity cross-check for the pruned path.
-    """
-    items = sorted({i for s in frequent_k_minus_1 for i in s})
-    return [tuple(c) for c in combinations(items, k)]
-
-
 def count_support(candidates: Sequence[ItemSet], db: TransactionDb) -> dict[ItemSet, int]:
     """Exact occurrence count of each candidate itemset over the database."""
     counts = _kernels.count_itemsets(db.matrix, candidates)
     return {c: int(n) for c, n in zip(candidates, counts)}
 
 
-def mine_apriori(
-    db: TransactionDb,
-    cfg: MinerConfig,
-    candidate_gen: Callable[[Sequence[ItemSet], int], list[ItemSet]] = generate_candidates,
-) -> list[FrequentItemset]:
+def mine_apriori(db: TransactionDb, cfg: MinerConfig) -> list[FrequentItemset]:
     """All itemsets with count >= ceil(min_support * N), with exact counts.
 
     Output is ordered by itemset length ascending, then item ids
@@ -91,7 +76,7 @@ def mine_apriori(
 
     k = 2
     while frequent and (cfg.max_itemset_len is None or k <= cfg.max_itemset_len):
-        candidates = candidate_gen(frequent, k)
+        candidates = generate_candidates(frequent, k)
         counts = count_support(candidates, db)
         frequent = []
         for candidate in candidates:

@@ -8,36 +8,18 @@ nobody "fixes" the implementation to reproduce asymmetric published counts.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .apriori import MinerConfig, mine_apriori
-from .fpgrowth import mine_fpgrowth
-from .model import FrequentItemset, ItemDictionary, TransactionDb
+from .model import ItemDictionary, TransactionDb
 from .rules import EQUITY_TAG, MINORITY_TAG, CategoryConfig, Thresholds, categorize, generate_rules
+from .verify import MINER_PAIR, MINERS
 
 PARITY_NOTE = (
     "note: with equal thresholds the algorithms are exact equivalents; "
     "identical rule counts and averages are the expected outcome."
 )
-
-MINERS: dict[str, Callable[[TransactionDb, float, int | None], list[FrequentItemset]]] = {
-    "apriori": lambda db, ms, max_len: mine_apriori(db, MinerConfig(ms, max_len)),
-    "fpgrowth": lambda db, ms, max_len: [
-        fs for fs in mine_fpgrowth(db, ms) if max_len is None or len(fs.items) <= max_len
-    ],
-}
-
-
-def time_run(thunk: Callable[[], object]) -> float:
-    """Monotonic wall seconds of one call, millisecond resolution."""
-    start = time.perf_counter()
-    thunk()
-    return round(time.perf_counter() - start, 3)
 
 
 @dataclass(frozen=True)
@@ -58,77 +40,13 @@ class ComparisonReport:
     rows: tuple[AlgorithmRow, ...]
     note: str = PARITY_NOTE
 
-    def as_text(self) -> str:
-        headers = [
-            "algorithm", "rules", "equity", "minority",
-            "avg_support", "avg_confidence", "avg_lift", "time_s",
-        ]
-        table = [headers]
-        for row in self.rows:
-            if row.error is not None:
-                table.append([row.algorithm, f"error: {row.error}", "", "", "", "", "", ""])
-                continue
-            table.append([
-                row.algorithm,
-                str(row.total_rules),
-                str(row.equity_rules),
-                str(row.minority_rules),
-                "-" if row.avg_support is None else f"{row.avg_support:.4f}",
-                "-" if row.avg_confidence is None else f"{row.avg_confidence:.4f}",
-                "-" if row.avg_lift is None else f"{row.avg_lift:.4f}",
-                f"{row.wall_seconds:.3f}",
-            ])
-        widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
-        lines.append(self.note)
-        return "\n".join(lines)
-
-    def as_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([
-            "algorithm", "total_rules", "equity_rules", "minority_rules",
-            "avg_support", "avg_confidence", "avg_lift", "wall_seconds", "error",
-        ])
-        for row in self.rows:
-            writer.writerow([
-                row.algorithm, row.total_rules, row.equity_rules, row.minority_rules,
-                "" if row.avg_support is None else repr(row.avg_support),
-                "" if row.avg_confidence is None else repr(row.avg_confidence),
-                "" if row.avg_lift is None else repr(row.avg_lift),
-                row.wall_seconds, row.error or "",
-            ])
-        return buf.getvalue()
-
-    def as_json(self) -> str:
-        return json.dumps(
-            {
-                "note": self.note,
-                "rows": [
-                    {
-                        "algorithm": r.algorithm,
-                        "total_rules": r.total_rules,
-                        "equity_rules": r.equity_rules,
-                        "minority_rules": r.minority_rules,
-                        "avg_support": r.avg_support,
-                        "avg_confidence": r.avg_confidence,
-                        "avg_lift": r.avg_lift,
-                        "wall_seconds": r.wall_seconds,
-                        "error": r.error,
-                    }
-                    for r in self.rows
-                ],
-            },
-            indent=2,
-        )
-
 
 def compare(
     db: TransactionDb,
     dictionary: ItemDictionary,
     thresholds: Thresholds,
     category_config: CategoryConfig,
-    algorithms: Sequence[str] = ("apriori", "fpgrowth"),
+    algorithms: Sequence[str] = MINER_PAIR,
     max_itemset_len: int | None = None,
     repeat: int = 1,
 ) -> ComparisonReport:
@@ -139,7 +57,7 @@ def compare(
     """
     if not algorithms:
         raise ValueError("at least one algorithm required")
-    unknown = [a for a in algorithms if a not in MINERS]
+    unknown = [a for a in algorithms if a not in MINER_PAIR]
     if unknown:
         raise ValueError(f"unknown algorithm: {unknown[0]}")
     rows = []

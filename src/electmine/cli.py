@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from dataclasses import asdict, fields
+from typing import Callable, Sequence
 
 from . import bench, ingest, verify
-from .apriori import MinerConfig, mine_apriori
-from .fpgrowth import mine_fpgrowth
-from .model import ItemDictionary, TransactionDb, encode_rows
+from .model import FrequentItemset, ItemDictionary, TransactionDb, encode_rows
 from .rules import CategoryConfig, Thresholds, categorize, generate_rules, rule_record
-from .verify import OracleLimits, brute_force_frequent
+from .verify import OracleLimits
 
 DEFAULT_MIN_SUPPORT = 0.03
 DEFAULT_MIN_CONFIDENCE = 0.60
@@ -45,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schema", required=True, help="YAML schema path")
         p.add_argument("--output", default=None, help="write primary output here instead of stdout")
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--threads", type=int, default=0,
-                       help="parallelism cap, 0 = auto (current build runs single-threaded)")
 
     def add_thresholds(p):
         p.add_argument("--min-support", type=float, default=DEFAULT_MIN_SUPPORT)
@@ -63,14 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine frequent itemsets")
     add_io(p)
-    p.add_argument("--algorithm", choices=("apriori", "fpgrowth", "oracle"), default="apriori")
+    p.add_argument("--algorithm", choices=tuple(verify.MINERS), default="apriori")
     p.add_argument("--min-support", type=float, default=DEFAULT_MIN_SUPPORT)
     p.add_argument("--max-len", type=int, default=None)
 
     p = sub.add_parser("rules", help="mine, generate, and categorize association rules")
     add_io(p)
     add_thresholds(p)
-    p.add_argument("--algorithm", choices=("apriori", "fpgrowth"), default="apriori")
+    p.add_argument("--algorithm", choices=verify.MINER_PAIR, default="apriori")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--top", type=int, default=None, help="show only the top-k rules by lift")
     p.add_argument("--tags", default=None, help="comma list; keep only rules carrying all of them")
@@ -78,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run both miners and report a comparison table")
     add_io(p)
     add_thresholds(p)
-    p.add_argument("--algorithm", default="apriori,fpgrowth",
+    p.add_argument("--algorithm", default=",".join(verify.MINER_PAIR),
                    help="comma list of algorithms to compare")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--repeat", type=int, default=1, help="repeat runs, report minimum time")
@@ -132,7 +131,31 @@ def _load_pipeline(args) -> tuple[ItemDictionary, TransactionDb, ingest.CleanRep
     return dictionary, db, report
 
 
-def _emit(text: str, args) -> None:
+def _load_db(args) -> tuple[ItemDictionary, TransactionDb]:
+    """_load_pipeline for the commands that mine, which need transactions."""
+    dictionary, db, _ = _load_pipeline(args)
+    if db.n_transactions == 0:
+        raise DataError("empty transaction database")
+    return dictionary, db
+
+
+def _check_counts(args) -> None:
+    """--max-len, --top and --repeat, on whichever subcommand takes them, must be >= 1."""
+    for option in ("max_len", "top", "repeat"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"{option.replace('_', '-')} must be >= 1")
+
+
+def _mine(args, db: TransactionDb, min_support: float) -> list[FrequentItemset]:
+    """Itemsets of at most --max-len items from the --algorithm miner."""
+    try:
+        return verify.MINERS[args.algorithm](db, min_support, args.max_len)
+    except ValueError as exc:  # the oracle's size limits
+        raise ConfigError(str(exc)) from exc
+
+
+def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -140,9 +163,70 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _validate_support(value: float) -> None:
-    if not 0.0 < value <= 1.0:
-        raise ConfigError("min-support must be in (0,1]")
+def _table(rows: list[list[str]]) -> str:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
+
+
+def _emit(args, records: list[dict], columns: Sequence[str], headers: Sequence[str],
+          cells: Callable[[dict], list[str]], note: str | None = None) -> None:
+    """Render records in --format and write them to --output or stdout.
+
+    json: one object per line, or, with a note, one indented document
+    {"note", "rows"}. csv: a header of columns, then each record's columns
+    with list values joined by ";". table: headers over cells(record) per
+    record, columns aligned, then the note.
+    """
+    if args.format == "json":
+        if note is None:
+            text = "".join(json.dumps(rec) + "\n" for rec in records)
+        else:
+            text = json.dumps({"note": note, "rows": records}, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([";".join(rec[c]) if isinstance(rec[c], list) else rec[c] for c in columns])
+        text = buf.getvalue()
+    else:
+        text = _table([list(headers), *map(cells, records)])
+        if note is not None:
+            text += note + "\n"
+    _write(args, text)
+
+
+ITEMSET_FIELDS = ("items", "count", "support")
+RULE_FIELDS = (
+    "antecedent", "consequent", "support", "confidence", "lift",
+    "support_pct", "confidence_pct", "lift_display", "tags",
+)
+RULE_HEADERS = ("antecedent", "consequent", "support%", "confidence%", "lift", "tags")
+COMPARE_HEADERS = (
+    "algorithm", "rules", "equity", "minority", "avg_support", "avg_confidence", "avg_lift", "time_s",
+)
+
+
+def _itemset_cells(rec: dict) -> list[str]:
+    return [";".join(rec["items"]), str(rec["count"]), f"{rec['support']:.4f}"]
+
+
+def _rule_cells(rec: dict) -> list[str]:
+    return [
+        ", ".join(rec["antecedent"]), ", ".join(rec["consequent"]),
+        rec["support_pct"], rec["confidence_pct"], rec["lift_display"], ",".join(rec["tags"]),
+    ]
+
+
+def _compare_cells(rec: dict) -> list[str]:
+    if rec["error"] is not None:
+        return [rec["algorithm"], f"error: {rec['error']}", "", "", "", "", "", ""]
+    averages = (rec["avg_support"], rec["avg_confidence"], rec["avg_lift"])
+    return [
+        rec["algorithm"], str(rec["total_rules"]), str(rec["equity_rules"]), str(rec["minority_rules"]),
+        *("-" if avg is None else f"{avg:.4f}" for avg in averages),
+        f"{rec['wall_seconds']:.3f}",
+    ]
 
 
 def cmd_ingest(args) -> int:
@@ -152,153 +236,59 @@ def cmd_ingest(args) -> int:
     lines = []
     for t in db.transactions:
         lines.append(";".join(dictionary.label_of(i) for i in t))
-    _emit("\n".join(lines) + ("\n" if lines else ""), args)
+    _write(args, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
 def cmd_mine(args) -> int:
-    _validate_support(args.min_support)
-    if args.max_len is not None and args.max_len < 1:
-        raise ConfigError("max-len must be >= 1")
-    dictionary, db, _ = _load_pipeline(args)
-    if db.n_transactions == 0:
-        raise DataError("empty transaction database")
-    if args.algorithm == "apriori":
-        frequent = mine_apriori(db, MinerConfig(args.min_support, args.max_len))
-    elif args.algorithm == "fpgrowth":
-        frequent = mine_fpgrowth(db, args.min_support)
-        if args.max_len is not None:
-            frequent = [fs for fs in frequent if len(fs.items) <= args.max_len]
-    else:
-        try:
-            frequent = brute_force_frequent(db, args.min_support)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if args.max_len is not None:
-            frequent = [fs for fs in frequent if len(fs.items) <= args.max_len]
-
-    if args.format == "json":
-        lines = [
-            json.dumps(
-                {
-                    "items": [dictionary.label_of(i) for i in fs.items],
-                    "count": fs.count,
-                    "support": fs.support,
-                }
-            )
-            for fs in frequent
-        ]
-        _emit("\n".join(lines) + ("\n" if lines else ""), args)
-    elif args.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["items", "count", "support"])
-        for fs in frequent:
-            writer.writerow([";".join(dictionary.label_of(i) for i in fs.items), fs.count, repr(fs.support)])
-        _emit(buf.getvalue(), args)
-    else:
-        rows = [["items", "count", "support"]]
-        for fs in frequent:
-            rows.append([";".join(dictionary.label_of(i) for i in fs.items), str(fs.count), f"{fs.support:.4f}"])
-        _emit(_table(rows), args)
+    if not 0.0 < args.min_support <= 1.0:
+        raise ConfigError("min-support must be in (0,1]")
+    dictionary, db = _load_db(args)
+    records = [
+        {"items": [dictionary.label_of(i) for i in fs.items], "count": fs.count, "support": fs.support}
+        for fs in _mine(args, db, args.min_support)
+    ]
+    _emit(args, records, ITEMSET_FIELDS, ITEMSET_FIELDS, _itemset_cells)
     return 0
-
-
-def _table(rows: list[list[str]]) -> str:
-    if not rows:
-        return ""
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
 
 
 def cmd_rules(args) -> int:
     thresholds = thresholds_from(args)
-    dictionary, db, _ = _load_pipeline(args)
-    if db.n_transactions == 0:
-        raise DataError("empty transaction database")
-    if args.algorithm == "apriori":
-        frequent = mine_apriori(db, MinerConfig(thresholds.min_support, args.max_len))
-    else:
-        frequent = mine_fpgrowth(db, thresholds.min_support)
-        if args.max_len is not None:
-            frequent = [fs for fs in frequent if len(fs.items) <= args.max_len]
+    dictionary, db = _load_db(args)
+    frequent = _mine(args, db, thresholds.min_support)
     rules = categorize(generate_rules(frequent, db, thresholds), dictionary, CategoryConfig())
     if args.tags:
         wanted = {t.strip() for t in args.tags.split(",") if t.strip()}
         rules = [r for r in rules if wanted <= r.tags]
-    if args.top is not None:
-        rules = rules[: args.top]
-
-    records = [rule_record(r, dictionary) for r in rules]
-    if args.format == "json":
-        lines = [json.dumps(rec) for rec in records]
-        _emit("\n".join(lines) + ("\n" if lines else ""), args)
-    elif args.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["antecedent", "consequent", "support", "confidence", "lift",
-             "support_pct", "confidence_pct", "lift_display", "tags"]
-        )
-        for rec in records:
-            writer.writerow(
-                [";".join(rec["antecedent"]), ";".join(rec["consequent"]),
-                 repr(rec["support"]), repr(rec["confidence"]), repr(rec["lift"]),
-                 rec["support_pct"], rec["confidence_pct"], rec["lift_display"],
-                 ";".join(rec["tags"])]
-            )
-        _emit(buf.getvalue(), args)
-    else:
-        rows = [["antecedent", "consequent", "support%", "confidence%", "lift", "tags"]]
-        for rec in records:
-            rows.append(
-                [", ".join(rec["antecedent"]), ", ".join(rec["consequent"]),
-                 rec["support_pct"], rec["confidence_pct"], rec["lift_display"],
-                 ",".join(rec["tags"])]
-            )
-        _emit(_table(rows), args)
+    records = [rule_record(r, dictionary) for r in rules[: args.top]]
+    _emit(args, records, RULE_FIELDS, RULE_HEADERS, _rule_cells)
     return 0
 
 
 def cmd_compare(args) -> int:
     thresholds = thresholds_from(args)
     algorithms = tuple(a.strip() for a in args.algorithm.split(",") if a.strip())
-    unknown = [a for a in algorithms if a not in bench.MINERS]
-    if unknown or not algorithms:
-        raise ConfigError(f"unknown algorithm: {unknown[0] if unknown else '(none)'}")
-    if args.repeat < 1:
-        raise ConfigError("repeat must be >= 1")
-    dictionary, db, _ = _load_pipeline(args)
-    if db.n_transactions == 0:
-        raise DataError("empty transaction database")
-    report = bench.compare(
-        db, dictionary, thresholds, CategoryConfig(),
-        algorithms=algorithms, max_itemset_len=args.max_len, repeat=args.repeat,
-    )
-    if args.format == "json":
-        _emit(report.as_json() + "\n", args)
-    elif args.format == "csv":
-        _emit(report.as_csv(), args)
-    else:
-        _emit(report.as_text() + "\n", args)
+    dictionary, db = _load_db(args)
+    try:
+        report = bench.compare(
+            db, dictionary, thresholds, CategoryConfig(),
+            algorithms=algorithms, max_itemset_len=args.max_len, repeat=args.repeat,
+        )
+    except ValueError as exc:  # no algorithm, or an unknown one
+        raise ConfigError(str(exc)) from exc
+    columns = [f.name for f in fields(bench.AlgorithmRow)]
+    _emit(args, [asdict(row) for row in report.rows], columns, COMPARE_HEADERS, _compare_cells, report.note)
     return 0
 
 
 def cmd_verify(args) -> int:
     thresholds = thresholds_from(args)
-    _validate_support(thresholds.min_support)
-    _, db, _ = _load_pipeline(args)
-    if db.n_transactions == 0:
-        raise DataError("empty transaction database")
+    _, db = _load_db(args)
     limits = OracleLimits(max_items=min(args.max_oracle_items, 24))
-    if db.n_items > limits.max_items or db.n_transactions > limits.max_transactions:
+    if not verify.within_limits(db, limits):
         raise ConfigError("oracle limits exceeded")
     report = verify.check_equivalence(db, thresholds.min_support, thresholds, limits)
-    _emit(report.as_text() + "\n", args)
+    _write(args, report.as_text() + "\n")
     return 0 if report.equivalent else 1
 
 
@@ -315,14 +305,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -85,25 +85,33 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
     return FPTree.from_patterns(patterns, min_count)
 
 
-def _mine(tree: FPTree, suffix: ItemSet, min_count: int, out: list[tuple[ItemSet, int]]) -> None:
+def _mine(tree: FPTree, suffix: ItemSet, min_count: int, max_len: int | None,
+          out: list[tuple[ItemSet, int]]) -> None:
     for item in sorted(tree.item_total, key=tree.rank.__getitem__):
         count = tree.item_total[item]
         itemset = tuple(sorted(suffix + (item,)))
         out.append((itemset, count))
+        if max_len is not None and len(itemset) >= max_len:
+            continue  # every conditional itemset would be longer
         conditional = FPTree.from_patterns(tree.prefix_paths(item), min_count)
         if conditional.item_total:
-            _mine(conditional, itemset, min_count, out)
+            _mine(conditional, itemset, min_count, max_len, out)
 
 
-def mine_fptree(tree: FPTree, min_support: float, n_transactions: int) -> list[FrequentItemset]:
-    """Recursive conditional-tree mining, normalized to the miners' ordering."""
+def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
+                max_len: int | None = None) -> list[FrequentItemset]:
+    """Recursive conditional-tree mining, normalized to the miners' ordering.
+
+    With max_len, the recursion stops at itemsets of that many items.
+    """
     min_count = support_cutoff(min_support, n_transactions)
     found: list[tuple[ItemSet, int]] = []
-    _mine(tree, (), min_count, found)
+    _mine(tree, (), min_count, max_len, found)
     found.sort(key=lambda pair: itemset_sort_key(pair[0]))
     return [FrequentItemset(items, count, count / n_transactions) for items, count in found]
 
 
-def mine_fpgrowth(db: TransactionDb, min_support: float) -> list[FrequentItemset]:
+def mine_fpgrowth(db: TransactionDb, min_support: float,
+                  max_len: int | None = None) -> list[FrequentItemset]:
     """Convenience wrapper: build the tree and mine it."""
-    return mine_fptree(build_fptree(db, min_support), min_support, db.n_transactions)
+    return mine_fptree(build_fptree(db, min_support), min_support, db.n_transactions, max_len)

@@ -174,7 +174,9 @@ def load_csv(path: str | Path, schema: SchemaSpec) -> LoadResult:
     column absent from the header is an error.
     """
     wanted = [c.name for c in schema.columns if c.kind != DROP]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put
+    # before the first header name.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, no header")
@@ -204,7 +206,7 @@ def clean(
     schema: SchemaSpec,
     consistency: Sequence[ConsistencyRule] = (),
 ) -> tuple[list[dict[str, str]], CleanReport]:
-    """Blank missing cells, drop contradictory rows, bin numeric columns.
+    """Strip cells, blank missing ones, drop contradictory rows, bin numeric columns.
 
     Missing answers simply disappear from the row (no "missing" item), so
     downstream support denominators stay "all respondents". Cleaning is
@@ -216,7 +218,8 @@ def clean(
         out: dict[str, str] = {}
         for name, value in row.items():
             col = schema.column(name)
-            if value.strip().lower() in schema.missing_tokens_for(col):
+            value = value.strip()  # "White " and "White" are one answer
+            if value.lower() in schema.missing_tokens_for(col):
                 report.blanked_cells[name] = report.blanked_cells.get(name, 0) + 1
                 continue
             out[name] = value

@@ -9,8 +9,9 @@ the filter contract, not part of the counting route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -30,9 +31,9 @@ class OracleLimits:
             raise ValueError("max_items must be <= 24 (subset enumeration)")
 
 
-def _check_limits(db: TransactionDb, limits: OracleLimits) -> None:
-    if db.n_items > limits.max_items or db.n_transactions > limits.max_transactions:
-        raise ValueError("oracle limits exceeded")
+def within_limits(db: TransactionDb, limits: OracleLimits) -> bool:
+    """Whether the oracle may enumerate the subsets of db."""
+    return db.n_items <= limits.max_items and db.n_transactions <= limits.max_transactions
 
 
 def _subset_counts(db: TransactionDb) -> np.ndarray:
@@ -68,7 +69,8 @@ def brute_force_frequent(
     """Every frequent itemset by exhaustive subset enumeration."""
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
-    _check_limits(db, limits)
+    if not within_limits(db, limits):
+        raise ValueError("oracle limits exceeded")
     min_count = support_cutoff(min_support, db.n_transactions)
     counts = _subset_counts(db)
     found = [
@@ -91,7 +93,8 @@ def brute_force_rules(
     """
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
-    _check_limits(db, limits)
+    if not within_limits(db, limits):
+        raise ValueError("oracle limits exceeded")
     n = db.n_transactions
     min_count = support_cutoff(thresholds.min_support, n)
     counts = _subset_counts(db)
@@ -126,6 +129,23 @@ def brute_force_rules(
     return out
 
 
+Miner = Callable[[TransactionDb, float, int | None], list[FrequentItemset]]
+
+
+# Every route to the frequent itemsets, by CLI name: (db, min_support,
+# max_len) -> itemsets of at most max_len items (None: no bound). The oracle
+# enumerates every subset whatever max_len is, then drops the longer ones.
+MINERS: dict[str, Miner] = {
+    "apriori": lambda db, min_support, max_len: mine_apriori(db, MinerConfig(min_support, max_len)),
+    "fpgrowth": mine_fpgrowth,
+    "oracle": lambda db, min_support, max_len: [
+        fs for fs in brute_force_frequent(db, min_support) if max_len is None or len(fs.items) <= max_len
+    ],
+}
+# The two miners under test; the oracle is their reference.
+MINER_PAIR = ("apriori", "fpgrowth")
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     equivalent: bool
@@ -154,23 +174,15 @@ def check_equivalence(
     min_support: float,
     thresholds: Thresholds,
     limits: OracleLimits = OracleLimits(),
-    miners: dict | None = None,
+    miners: dict[str, Miner] | None = None,
 ) -> EquivalenceReport:
     """Run apriori, fpgrowth, and (within limits) the oracle; report the
     first divergence in itemsets or generated rules, or "equivalent"."""
     if miners is None:
-        miners = {
-            "apriori": lambda d: mine_apriori(d, MinerConfig(min_support)),
-            "fpgrowth": lambda d: mine_fpgrowth(d, min_support),
-        }
-    rule_thresholds = Thresholds(
-        min_support=max(thresholds.min_support, min_support),
-        min_confidence=thresholds.min_confidence,
-        min_lift=thresholds.min_lift,
-        strict_lift=thresholds.strict_lift,
-    )
-    results = {name: miner(db) for name, miner in miners.items()}
-    in_limits = db.n_items <= limits.max_items and db.n_transactions <= limits.max_transactions
+        miners = {name: MINERS[name] for name in MINER_PAIR}
+    rule_thresholds = replace(thresholds, min_support=max(thresholds.min_support, min_support))
+    results = {name: miner(db, min_support, None) for name, miner in miners.items()}
+    in_limits = within_limits(db, limits)
     if in_limits:
         results["oracle"] = brute_force_frequent(db, min_support, limits)
 

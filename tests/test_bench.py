@@ -1,8 +1,9 @@
-import time
+import json
 
 import pytest
 
-from electmine.bench import compare, time_run
+from electmine.bench import PARITY_NOTE, compare
+from electmine.cli import main
 from electmine.rules import CategoryConfig, Thresholds
 
 
@@ -61,24 +62,19 @@ def test_averages_respect_filter_bounds(d5_db, d5_dict):
 
 
 def test_unknown_algorithm_rejected(d5_db, d5_dict):
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        compare(d5_db, d5_dict, Thresholds(), CategoryConfig(), algorithms=("eclat",))
+    for name in ("eclat", "oracle"):  # the oracle is the miners' reference, not compared
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            compare(d5_db, d5_dict, Thresholds(), CategoryConfig(), algorithms=(name,))
     with pytest.raises(ValueError, match="at least one"):
         compare(d5_db, d5_dict, Thresholds(), CategoryConfig(), algorithms=())
 
 
-def test_parity_note_in_outputs(d5_db, d5_dict):
-    report = compare(d5_db, d5_dict, Thresholds(), CategoryConfig())
-    assert "expected outcome" in report.as_text()
-    assert "expected outcome" in report.as_json()
-    assert report.as_csv().startswith("algorithm,")
-
-
-def test_time_run_noop():
-    elapsed = time_run(lambda: None)
-    assert 0.0 <= elapsed < 0.01
-
-
-def test_time_run_sleep():
-    elapsed = time_run(lambda: time.sleep(0.01))
-    assert 0.010 <= elapsed <= 0.050
+def test_parity_note_in_outputs(data_dir, capsys):
+    io_args = ["--input", str(data_dir / "d5.csv"), "--schema", str(data_dir / "d5.yaml")]
+    outputs = {}
+    for fmt in ("table", "csv", "json"):
+        assert main(["compare", *io_args, "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    assert outputs["table"].endswith(PARITY_NOTE + "\n")
+    assert json.loads(outputs["json"])["note"] == PARITY_NOTE
+    assert outputs["csv"].startswith("algorithm,")

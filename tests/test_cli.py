@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -126,3 +127,64 @@ def test_output_file(data_dir, tmp_path, capsys):
                  "--format", "csv", "--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text().startswith("items,count,support")
+
+
+# Runs whose bytes are pinned in tests/data/golden, captured before the
+# emitters were merged into one. Every miner of a command writes the same file.
+GOLDEN_RUNS = [
+    ("mine", "apriori"), ("mine", "fpgrowth"), ("mine", "oracle"),
+    ("rules", "apriori"), ("rules", "fpgrowth"),
+    ("compare", "apriori,fpgrowth"),
+]
+# compare's time column, which differs from run to run.
+COMPARE_TIME = {
+    "table": rb"\d+\.\d{3}$",
+    "csv": rb"(?<=,)[\d.]+(?=,[^,]*\r?$)",
+    "json": rb'(?<="wall_seconds": )[\d.]+',
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command,algorithm", GOLDEN_RUNS)
+def test_golden_output(data_dir, tmp_path, command, algorithm, fmt):
+    out = tmp_path / "out"
+    extra = [] if command == "mine" else ["--min-lift", "0"]
+    assert main([command, *d5_args(data_dir), *extra, "--algorithm", algorithm,
+                 "--format", fmt, "--output", str(out)]) == 0
+    actual = out.read_bytes()
+    expected = (data_dir / "golden" / f"{command}.{fmt}").read_bytes()
+    if command == "compare":
+        actual, expected = (re.sub(COMPARE_TIME[fmt], b"T", b, flags=re.M) for b in (actual, expected))
+    assert actual == expected
+
+
+# Every subcommand and miner that takes a count option.
+COUNT_OPTIONS = [
+    *(("mine", a, "max-len") for a in ("apriori", "fpgrowth", "oracle")),
+    *(("rules", a, option) for a in ("apriori", "fpgrowth") for option in ("max-len", "top")),
+    *(("compare", a, "max-len") for a in ("apriori", "fpgrowth", "apriori,fpgrowth")),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command,algorithm,option", COUNT_OPTIONS)
+def test_count_below_one_is_config_error(data_dir, capsys, command, algorithm, option, value):
+    argv = [command, *d5_args(data_dir), "--algorithm", algorithm, f"--{option}", value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{option} must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_beyond_oracle_limits(data_dir, capsys):
+    assert main(["verify", *d5_args(data_dir), "--max-oracle-items", "2"]) == 2
+    assert "oracle limits exceeded" in capsys.readouterr().err
+
+
+def test_mine_oracle_beyond_limits(tmp_path, capsys):
+    names = [f"q{i}" for i in range(21)]
+    (tmp_path / "wide.csv").write_text(",".join(names) + "\n" + ",".join("1" * 21) + "\n")
+    (tmp_path / "wide.yaml").write_text("columns:\n" + "".join(f"  - name: {n}\n" for n in names))
+    assert main(["mine", "--input", str(tmp_path / "wide.csv"), "--schema", str(tmp_path / "wide.yaml"),
+                 "--algorithm", "oracle"]) == 2
+    assert "oracle limits exceeded" in capsys.readouterr().err

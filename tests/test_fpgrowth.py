@@ -3,7 +3,7 @@ import pytest
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.fpgrowth import build_fptree, mine_fpgrowth, mine_fptree
 from electmine.model import TransactionDb
-from electmine.verify import random_db
+from electmine.verify import brute_force_frequent, random_db
 
 
 def as_pairs(frequent):
@@ -86,3 +86,12 @@ def test_equivalence_with_apriori(seed):
         assert as_pairs(mine_fpgrowth(db, min_support)) == as_pairs(
             mine_apriori(db, MinerConfig(min_support))
         )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_max_len_matches_oracle(seed):
+    db = random_db(seed, max_items=10, max_transactions=200)
+    oracle = as_pairs(brute_force_frequent(db, 0.1))
+    for k in (1, 2, 3):
+        expected = [pair for pair in oracle if len(pair[0]) <= k]
+        assert as_pairs(mine_fpgrowth(db, 0.1, max_len=k)) == expected

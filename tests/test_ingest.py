@@ -59,6 +59,14 @@ def test_load_csv_malformed_line(tmp_path):
         load_csv(path, simple_schema())
 
 
+def test_load_csv_utf8_bom(tmp_path):
+    # Spreadsheet exports start with a byte-order mark; it is not part of
+    # the first column's name.
+    path = tmp_path / "survey.csv"
+    path.write_bytes("\ufeffq9,age\nNo,35\n".encode("utf-8"))
+    assert load_csv(path, simple_schema()).rows == [{"q9": "No", "age": "35"}]
+
+
 def test_clean_blanks_missing_cells():
     rows, report = clean([{"q9": "", "age": "35"}], simple_schema())
     assert rows == [{"age": "30-44"}]
@@ -88,6 +96,17 @@ def test_clean_is_idempotent():
     twice, report = clean(once, simple_schema())
     assert twice == once
     assert report.blanked_cells == {} and report.out_of_range == {}
+
+
+def test_clean_strips_cell_whitespace():
+    # "No " and "No" are one answer, and padding does not dodge a rule.
+    rule = ConsistencyRule("mail voter who is White", (("q9", "mail"), ("race", "White")))
+    schema = SchemaSpec(columns=(ColumnSpec("q9"), ColumnSpec("race")))
+    raw = [{"q9": "No ", "race": "White"}, {"q9": " mail", "race": "White "}, {"q9": " NA ", "race": "White"}]
+    rows, report = clean(raw, schema, [rule])
+    assert rows == [{"q9": "No", "race": "White"}, {"race": "White"}]
+    assert report.rows_dropped == {rule.description: 1}
+    assert report.blanked_cells == {"q9": 1}
 
 
 def test_clean_counts_out_of_range():

@@ -4,6 +4,7 @@ from electmine.apriori import MinerConfig, mine_apriori
 from electmine.model import TransactionDb
 from electmine.rules import Thresholds, generate_rules
 from electmine.verify import (
+    MINERS,
     OracleLimits,
     brute_force_frequent,
     brute_force_rules,
@@ -84,14 +85,14 @@ def test_check_equivalence_random(seed):
 
 
 def test_corrupted_miner_is_named(d5_db):
-    def lossy_apriori(db):
-        return mine_apriori(db, MinerConfig(0.6))[1:]  # drop the first itemset
+    def lossy_apriori(db, min_support, max_len):
+        return mine_apriori(db, MinerConfig(min_support, max_len))[1:]  # drop the first itemset
 
     report = check_equivalence(
         d5_db,
         0.6,
         Thresholds(),
-        miners={"lossy": lossy_apriori, "oracle-check": lambda db: mine_apriori(db, MinerConfig(0.6))},
+        miners={"lossy": lossy_apriori, "oracle-check": MINERS["apriori"]},
     )
     assert not report.equivalent
     assert "(0,)" in report.detail
