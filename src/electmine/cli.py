@@ -20,7 +20,9 @@ from typing import Callable, Sequence
 
 from . import bench, ingest, verify
 from .model import FrequentItemset, ItemDictionary, TransactionDb, encode_rows
-from .rules import CategoryConfig, Thresholds, categorize, generate_rules, rule_record
+from .rules import (
+    EQUITY_TAG, MINORITY_TAG, CategoryConfig, Thresholds, categorize, generate_rules, rule_record,
+)
 from .verify import OracleLimits
 
 DEFAULT_MIN_SUPPORT = 0.03
@@ -45,6 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="survey CSV path")
         p.add_argument("--schema", required=True, help="YAML schema path")
         p.add_argument("--output", default=None, help="write primary output here instead of stdout")
+
+    def add_format(p):  # the commands whose output goes through _emit
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     def add_thresholds(p):
@@ -62,12 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine frequent itemsets")
     add_io(p)
+    add_format(p)
     p.add_argument("--algorithm", choices=tuple(verify.MINERS), default="apriori")
     p.add_argument("--min-support", type=float, default=DEFAULT_MIN_SUPPORT)
     p.add_argument("--max-len", type=int, default=None)
 
     p = sub.add_parser("rules", help="mine, generate, and categorize association rules")
     add_io(p)
+    add_format(p)
     add_thresholds(p)
     p.add_argument("--algorithm", choices=verify.MINER_PAIR, default="apriori")
     p.add_argument("--max-len", type=int, default=None)
@@ -76,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run both miners and report a comparison table")
     add_io(p)
+    add_format(p)
     add_thresholds(p)
     p.add_argument("--algorithm", default=",".join(verify.MINER_PAIR),
                    help="comma list of algorithms to compare")
@@ -254,12 +261,14 @@ def cmd_mine(args) -> int:
 
 def cmd_rules(args) -> int:
     thresholds = thresholds_from(args)
+    wanted = {t.strip() for t in (args.tags or "").split(",") if t.strip()}
+    unknown = wanted - {EQUITY_TAG, MINORITY_TAG}
+    if unknown:
+        raise ConfigError(f"unknown tags {sorted(unknown)}: valid tags are {EQUITY_TAG}, {MINORITY_TAG}")
     dictionary, db = _load_db(args)
     frequent = _mine(args, db, thresholds.min_support)
     rules = categorize(generate_rules(frequent, db, thresholds), dictionary, CategoryConfig())
-    if args.tags:
-        wanted = {t.strip() for t in args.tags.split(",") if t.strip()}
-        rules = [r for r in rules if wanted <= r.tags]
+    rules = [r for r in rules if wanted <= r.tags]
     records = [rule_record(r, dictionary) for r in rules[: args.top]]
     _emit(args, records, RULE_FIELDS, RULE_HEADERS, _rule_cells)
     return 0

@@ -213,13 +213,18 @@ def clean(
     idempotent: already-binned labels pass through unchanged.
     """
     report = CleanReport()
+    missing = {c.name: schema.missing_tokens_for(c) for c in schema.columns}
+    binned = {
+        c.name: (c.bins, frozenset(b.label for b in c.bins))
+        for c in schema.columns
+        if c.kind == NUMERIC_BINNED
+    }
     cleaned: list[dict[str, str]] = []
     for row in rows:
         out: dict[str, str] = {}
         for name, value in row.items():
-            col = schema.column(name)
             value = value.strip()  # "White " and "White" are one answer
-            if value.lower() in schema.missing_tokens_for(col):
+            if value.lower() in missing[name]:
                 report.blanked_cells[name] = report.blanked_cells.get(name, 0) + 1
                 continue
             out[name] = value
@@ -232,14 +237,14 @@ def clean(
         if dropped:
             continue
         for name in list(out):
-            col = schema.column(name)
-            if col.kind != NUMERIC_BINNED:
+            if name not in binned:
                 continue
+            bins, labels = binned[name]
             value = out[name]
-            if value in {b.label for b in col.bins}:
+            if value in labels:
                 continue  # already binned (idempotent re-clean)
             try:
-                out[name] = bin_numeric(float(value), col.bins)
+                out[name] = bin_numeric(float(value), bins)
             except ValueError:
                 del out[name]
                 report.out_of_range[name] = report.out_of_range.get(name, 0) + 1

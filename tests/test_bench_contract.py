@@ -46,7 +46,7 @@ def test_set_up_child_names():
     # run.py's set-up child imports electmine.cli, then reaches the schema
     # loader as electmine.ingest and prints the counting backend.
     assert electmine.ingest.load_schema is ingest.load_schema
-    assert _kernels.BACKEND in ("numba", "numpy")
+    assert _kernels.BACKEND == "bitset"
 
 
 def test_ingest_calls(data_dir):

@@ -82,6 +82,15 @@ def test_rules_tag_filter(data_dir, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_rules_unknown_tag_rejected(data_dir, capsys):
+    assert main(["rules", *d5_args(data_dir), "--min-lift", "0", "--tags", "minority,equty",
+                 "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "['equty']" in captured.err
+    assert "valid tags are equity, minority" in captured.err
+
+
 def test_compare_d5(data_dir, capsys):
     assert main(["compare", *d5_args(data_dir), "--min-lift", "0", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -109,6 +118,14 @@ def test_ingest_report(data_dir, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "a_1;b_1;c_1"
     assert "blanked cells" in captured.err
+
+
+@pytest.mark.parametrize("command", ["ingest", "verify"])
+def test_format_rejected_where_output_is_fixed(data_dir, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *d5_args(data_dir), "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(data_dir, tmp_path):

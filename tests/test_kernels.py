@@ -1,0 +1,38 @@
+"""The counting kernel against a direct per-row count."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from electmine import _kernels
+
+
+def direct_count(matrix, itemset):
+    return sum(all(row[i] for i in itemset) for row in matrix)
+
+
+@st.composite
+def counting_cases(draw):
+    """A bool matrix, itemsets of mixed lengths over its columns, and a block budget."""
+    n_rows = draw(st.integers(0, 70))  # 0, 1, and row counts on and off byte boundaries
+    n_items = draw(st.integers(1, 8))
+    matrix = draw(arrays(np.bool_, (n_rows, n_items)))
+    itemset = st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items, unique=True)
+    itemsets = draw(st.lists(itemset.map(lambda s: tuple(sorted(s))), max_size=40))
+    # A budget of a few bytes puts one or a few itemsets in each block.
+    block_bytes = draw(st.sampled_from([1, 3, 16, _kernels.BLOCK_BYTES]))
+    return matrix, itemsets, block_bytes
+
+
+@given(counting_cases())
+@example((np.zeros((0, 3), dtype=bool), [(0,), (0, 2), (1, 2)], 1))
+@example((np.ones((1, 3), dtype=bool), [(0, 1, 2), (1,), (0, 2)], 1))
+@example((np.ones((9, 2), dtype=bool), [(0,), (0, 1), (1,)], 2))
+def test_count_itemsets_matches_direct_count(case):
+    matrix, itemsets, block_bytes = case
+    with mock.patch.object(_kernels, "BLOCK_BYTES", block_bytes):
+        counts = _kernels.count_itemsets(matrix, itemsets)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [direct_count(matrix, s) for s in itemsets]
