@@ -1,20 +1,22 @@
 """Support counting: one packed-bitset kernel.
 
-Each item's column of the boolean transaction matrix is packed into bits,
-eight transactions a byte; the padding bits of the last byte are zero. The
-count of an itemset is the popcount of the AND of its items' packed columns:
-vertical tidset intersection as in Eclat (Zaki 2000), on bitsets.
+`pack` is the one bit layout of a transaction database: row i of its array
+is item i's column, packed eight transactions a byte, and the padding bits of
+the last byte are zero. The count of an itemset is the popcount of the AND of
+its items' packed rows: vertical tidset intersection as in Eclat (Zaki
+2000), on bitsets.
 
-Memory, per call: the transposed copy of the matrix (n_rows * n_items
-bytes) and its packed columns (n_items * ceil(n_rows / 8) bytes). Itemsets
-are counted in blocks of one length; a block gathers at most BLOCK_BYTES of
-packed columns (one column, if a column alone is larger), and its gathered,
-AND-ed and popcount arrays are each that size. So the temporaries stay
-within three blocks however many itemsets a call counts.
+Memory: `pack` holds an n_items * n_rows bool temporary while it packs, and
+its result is n_items * ceil(n_rows / 8) bytes. `count_itemsets` counts
+itemsets in blocks of one length; a block gathers at most BLOCK_BYTES of
+packed rows (one row, if a row alone is larger), and its gathered, AND-ed
+and popcount arrays are each that size. So the temporaries stay within
+three blocks however many itemsets a call counts.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -23,10 +25,21 @@ BACKEND = "bitset"  # the one counting kernel; electbench/run.py records it
 BLOCK_BYTES = 1 << 20
 
 
-def count_itemsets(matrix: np.ndarray, itemsets: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Occurrence count of each nonempty itemset in the boolean transaction matrix."""
+def pack(transactions: Sequence[Sequence[int]], n_items: int) -> np.ndarray:
+    """Read-only uint8 array (n_items, ceil(n_rows / 8)): bit r of row i is
+    set when transaction r holds item i."""
+    lengths = np.fromiter(map(len, transactions), dtype=np.intp, count=len(transactions))
+    items = np.fromiter(chain.from_iterable(transactions), dtype=np.intp, count=int(lengths.sum()))
+    columns = np.zeros((n_items, len(transactions)), dtype=bool)
+    columns[items, np.repeat(np.arange(len(transactions)), lengths)] = True
+    packed = np.packbits(columns, axis=1)
+    packed.setflags(write=False)
+    return packed
+
+
+def count_itemsets(packed: np.ndarray, itemsets: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Occurrence count of each nonempty itemset in a `pack`ed database."""
     counts = np.zeros(len(itemsets), dtype=np.int64)
-    packed = np.packbits(np.ascontiguousarray(matrix.T), axis=1)  # (n_items, ceil(n_rows / 8))
     block = max(1, BLOCK_BYTES // max(1, packed.shape[1]))
     by_len: dict[int, list[int]] = {}
     for i, itemset in enumerate(itemsets):
@@ -35,7 +48,7 @@ def count_itemsets(matrix: np.ndarray, itemsets: Sequence[tuple[int, ...]]) -> n
         members = np.array([itemsets[i] for i in positions], dtype=np.intp)  # (m, length)
         for start in range(0, len(positions), block):
             cols = members[start : start + block]
-            acc = packed[cols[:, 0]]
+            acc = packed[cols[:, 0]]  # fancy indexing copies, so the AND below never writes to packed
             for j in range(1, cols.shape[1]):
                 acc &= packed[cols[:, j]]
             counts[positions[start : start + block]] = np.bitwise_count(acc).sum(axis=1)

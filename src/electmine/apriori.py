@@ -2,7 +2,8 @@
 
 Candidate generation merges (k-1)-itemsets sharing their first k-2 items and
 prunes any candidate with an infrequent (k-1)-subset (downward closure).
-Support counting runs on the shared counting kernel.
+Every level, the singletons included, is counted by count_support on the
+shared counting kernel.
 """
 
 from __future__ import annotations
@@ -66,25 +67,16 @@ def mine_apriori(db: TransactionDb, cfg: MinerConfig) -> list[FrequentItemset]:
     min_count = support_cutoff(cfg.min_support, n)
 
     found: list[tuple[ItemSet, int]] = []
-    column_counts = db.matrix.sum(axis=0)
-    frequent: list[ItemSet] = []
-    for item in range(db.n_items):
-        count = int(column_counts[item])
-        if count >= min_count:
-            frequent.append((item,))
-            found.append(((item,), count))
-
-    k = 2
-    while frequent and (cfg.max_itemset_len is None or k <= cfg.max_itemset_len):
-        candidates = generate_candidates(frequent, k)
+    candidates: list[ItemSet] = [(item,) for item in range(db.n_items)]
+    k = 1
+    while candidates:
         counts = count_support(candidates, db)
-        frequent = []
-        for candidate in candidates:
-            count = counts[candidate]
-            if count >= min_count:
-                frequent.append(candidate)
-                found.append((candidate, count))
+        frequent = [c for c in candidates if counts[c] >= min_count]
+        found.extend((c, counts[c]) for c in frequent)
         k += 1
+        if cfg.max_itemset_len is not None and k > cfg.max_itemset_len:
+            break
+        candidates = generate_candidates(frequent, k)
 
     found.sort(key=lambda pair: itemset_sort_key(pair[0]))
     return [FrequentItemset(items, count, count / n) for items, count in found]

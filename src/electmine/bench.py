@@ -64,15 +64,13 @@ def compare(
     for name in algorithms:
         miner = MINERS[name]
         try:
-            tagged = None
-            best = None
+            times = []
             for _ in range(max(1, repeat)):
                 start = time.perf_counter()
                 frequent = miner(db, thresholds.min_support, max_itemset_len)
                 plain = generate_rules(frequent, db, thresholds)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-                tagged = categorize(plain, dictionary, category_config)
+                times.append(time.perf_counter() - start)
+            tagged = categorize(plain, dictionary, category_config)
             n = len(tagged)
             rows.append(
                 AlgorithmRow(
@@ -83,7 +81,7 @@ def compare(
                     avg_support=sum(r.support for r in tagged) / n if n else None,
                     avg_confidence=sum(r.confidence for r in tagged) / n if n else None,
                     avg_lift=sum(r.lift for r in tagged) / n if n else None,
-                    wall_seconds=round(best, 3),
+                    wall_seconds=round(min(times), 3),
                 )
             )
         except Exception as exc:  # keep going with the other algorithms

@@ -1,8 +1,9 @@
 """Command-line entry point: ingest -> encode -> mine -> rules -> report.
 
 Defaults reproduce the published parameterization (support 0.03, confidence
-0.60, lift 1.50); --minority-preset switches support to 0.02. Diagnostics go
-to stderr, data to stdout or --output, so commands compose in pipelines.
+0.60, lift 1.50); --minority-preset, which excludes --min-support, mines at
+support 0.02. Diagnostics go to stderr, data to stdout or --output, so
+commands compose in pipelines.
 
 Exit codes: 0 success (or "equivalent" for verify), 1 data error or
 divergence, 2 configuration error.
@@ -17,6 +18,8 @@ import json
 import sys
 from dataclasses import asdict, fields
 from typing import Callable, Sequence
+
+import yaml
 
 from . import bench, ingest, verify
 from .model import FrequentItemset, ItemDictionary, TransactionDb, encode_rows
@@ -52,13 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     def add_thresholds(p):
-        p.add_argument("--min-support", type=float, default=DEFAULT_MIN_SUPPORT)
+        support = p.add_mutually_exclusive_group()
+        support.add_argument("--min-support", type=float, default=DEFAULT_MIN_SUPPORT)
+        support.add_argument("--minority-preset", action="store_true",
+                             help="minority-analysis preset: min-support 0.02")
         p.add_argument("--min-confidence", type=float, default=DEFAULT_MIN_CONFIDENCE)
         p.add_argument("--min-lift", type=float, default=DEFAULT_MIN_LIFT)
         p.add_argument("--strict-lift", action="store_true",
                        help="require lift strictly above the threshold")
-        p.add_argument("--minority-preset", action="store_true",
-                       help="minority-analysis preset: min-support 0.02")
 
     p = sub.add_parser("ingest", help="load, clean, and select survey columns")
     add_io(p)
@@ -113,14 +117,14 @@ def thresholds_from(args) -> Thresholds:
 def _load_pipeline(args) -> tuple[ItemDictionary, TransactionDb, ingest.CleanReport]:
     try:
         schema = ingest.load_schema(args.schema)
-    except FileNotFoundError as exc:
-        raise DataError(f"schema file not found: {args.schema}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except OSError as exc:
+        raise DataError(f"cannot read schema {args.schema}: {exc.strerror or exc}") from exc
+    except (ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
         raise ConfigError(f"bad schema {args.schema}: {exc}") from exc
     try:
         loaded = ingest.load_csv(args.input, schema)
-    except FileNotFoundError as exc:
-        raise DataError(f"input file not found: {args.input}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read input {args.input}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     if loaded.ignored_columns:
@@ -129,6 +133,7 @@ def _load_pipeline(args) -> tuple[ItemDictionary, TransactionDb, ingest.CleanRep
             file=sys.stderr,
         )
     rows, report = ingest.clean(loaded.rows, schema, schema.consistency_rules)
+    del loaded  # the raw rows go before select_features copies the cleaned ones
     keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != ingest.DROP)
     try:
         rows = ingest.select_features(rows, keep, schema)
@@ -240,10 +245,7 @@ def cmd_ingest(args) -> int:
     dictionary, db, report = _load_pipeline(args)
     if args.report:
         print(report.as_text(), file=sys.stderr)
-    lines = []
-    for t in db.transactions:
-        lines.append(";".join(dictionary.label_of(i) for i in t))
-    _write(args, "\n".join(lines) + ("\n" if lines else ""))
+    _write(args, "".join(";".join(map(dictionary.label_of, t)) + "\n" for t in db.transactions))
     return 0
 
 

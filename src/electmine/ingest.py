@@ -21,25 +21,6 @@ DROP = "drop"
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "na", "nan"})
 
-# De-duplicated union of the survey attributes retained for mining.
-DEFAULT_KEEP = (
-    "race",
-    "income",
-    "age",
-    "gender",
-    "q55",
-    "location",
-    "q12",
-    "q5",
-    "q9",
-    "q39",
-    "q40",
-    "q41",
-    "newsint",
-    "q4",
-)
-
-
 @dataclass(frozen=True)
 class Bin:
     lower: float
@@ -133,36 +114,49 @@ class LoadResult:
     ignored_columns: tuple[str, ...]
 
 
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a mapping, not {type(value).__name__}")
+    return value
+
+
+def _bin(entry) -> Bin:
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ValueError(f"a bin is [lower, upper, label], not {entry!r}")
+    return Bin(float(entry[0]), float(entry[1]), str(entry[2]))
+
+
 def load_schema(path: str | Path) -> SchemaSpec:
-    """Parse a YAML schema document into a SchemaSpec."""
+    """Parse a YAML schema into a SchemaSpec; ValueError if it has the wrong shape."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+        doc = _mapping(yaml.safe_load(fh) or {}, "the schema")
     columns = []
     for entry in doc.get("columns", []):
-        bins = tuple(Bin(float(b[0]), float(b[1]), str(b[2])) for b in entry.get("bins", []))
+        entry = _mapping(entry, "a column entry")
         tokens = entry.get("missing_tokens")
         columns.append(
             ColumnSpec(
                 name=str(entry["name"]),
                 kind=str(entry.get("kind", CATEGORICAL)),
                 missing_tokens=frozenset(map(str, tokens)) if tokens is not None else None,
-                bins=bins,
+                bins=tuple(map(_bin, entry.get("bins", []))),
             )
         )
-    rules = tuple(
-        ConsistencyRule(
+    rules = []
+    for entry in doc.get("consistency_rules", []):
+        entry = _mapping(entry, "a consistency rule")
+        conjuncts = _mapping(entry["conjuncts"], "conjuncts")
+        rules.append(ConsistencyRule(
             description=str(entry["description"]),
-            conjuncts=tuple(sorted((str(k), str(v)) for k, v in entry["conjuncts"].items())),
-        )
-        for entry in doc.get("consistency_rules", [])
-    )
+            conjuncts=tuple(sorted((str(k), str(v)) for k, v in conjuncts.items())),
+        ))
     default_tokens = doc.get("missing_tokens")
     return SchemaSpec(
         columns=tuple(columns),
         default_missing_tokens=(
             frozenset(map(str, default_tokens)) if default_tokens is not None else DEFAULT_MISSING_TOKENS
         ),
-        consistency_rules=rules,
+        consistency_rules=tuple(rules),
         keep=tuple(map(str, doc.get("keep", []))),
     )
 

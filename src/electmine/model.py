@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from . import _kernels
 
 # An itemset is always a sorted, duplicate-free tuple of item ids.
 ItemSet = tuple[int, ...]
@@ -23,14 +27,18 @@ def attribute_of(label: str) -> str:
     return label.split("_", 1)[0]
 
 
+def exact(threshold: float) -> Fraction:
+    """A threshold as the decimal it prints as: 0.6 is 3/5, not the binary
+    float nearest to it. Raises ValueError for inf and nan."""
+    return Fraction(str(threshold))
+
+
 def support_cutoff(min_support: float, n_transactions: int) -> int:
     """Absolute count an itemset needs: ceil(min_support * N), at least 1.
 
-    A tiny slack absorbs binary-float noise so e.g. 0.05 * 20 counts as 1,
-    not 2.
+    Exact: 0.05 * 20 is 1, and 0.1000000001 * 10 is above 1.
     """
-    raw = min_support * n_transactions
-    return max(1, math.ceil(raw - 1e-9 * max(1.0, raw)))
+    return max(1, math.ceil(exact(min_support) * n_transactions))
 
 
 @dataclass(frozen=True)
@@ -76,20 +84,21 @@ class TransactionDb:
 
     transactions: tuple[ItemSet, ...]
     n_items: int
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         transactions = tuple(tuple(t) for t in self.transactions)
         object.__setattr__(self, "transactions", transactions)
-        mat = np.zeros((len(transactions), self.n_items), dtype=bool)
         for row, t in enumerate(transactions):
             if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
                 raise ValueError(f"transaction {row} is not sorted and duplicate-free: {t}")
             if t and (t[0] < 0 or t[-1] >= self.n_items):
                 raise ValueError(f"transaction {row} has an item id outside [0, {self.n_items})")
-            mat[row, list(t)] = True
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The packed item columns the counting kernel reads (`_kernels.pack`),
+        built on first use: FP-Growth and the oracle never need them."""
+        return _kernels.pack(self.transactions, self.n_items)
 
     @property
     def n_transactions(self) -> int:
@@ -113,14 +122,12 @@ def itemset_sort_key(items: ItemSet):
 
 
 def encode_rows(
-    rows: Sequence[Mapping[str, str] | Iterable[tuple[str, str]]],
-    attribute_order: Sequence[str],
+    rows: Sequence[Mapping[str, str]], attribute_order: Sequence[str]
 ) -> tuple[ItemDictionary, TransactionDb]:
     """Encode attribute->value records into an item dictionary and database.
 
     Item ids are assigned in first-encounter order, scanning rows in input
-    order and each row's attributes in attribute_order. A record listing the
-    same attribute twice is rejected: it signals an upstream cleaning failure.
+    order and each row's attributes in attribute_order.
     """
     order = list(attribute_order)
     order_set = set(order)
@@ -129,22 +136,14 @@ def encode_rows(
     transactions: list[ItemSet] = []
 
     for row_no, row in enumerate(rows):
-        if isinstance(row, Mapping):
-            record = dict(row)
-        else:
-            record = {}
-            for attr, value in row:
-                if attr in record:
-                    raise ValueError(f"row {row_no}: duplicate attribute {attr!r}")
-                record[attr] = value
-        unknown = set(record) - order_set
+        unknown = set(row) - order_set
         if unknown:
             raise ValueError(f"row {row_no}: attributes not in attribute_order: {sorted(unknown)}")
         items = []
         for attr in order:
-            if attr not in record:
+            if attr not in row:
                 continue
-            value = record[attr]
+            value = row[attr]
             if value == "":
                 raise ValueError(f"row {row_no}: empty value for attribute {attr!r}")
             label = f"{attr}_{value}"

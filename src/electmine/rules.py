@@ -7,7 +7,7 @@ thresholds, so boundary cases never flip on float noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -19,6 +19,7 @@ from .model import (
     ItemSet,
     TransactionDb,
     attribute_of,
+    exact,
     support_cutoff,
 )
 
@@ -34,14 +35,19 @@ class Thresholds:
     min_confidence: float = 0.60
     min_lift: float = 1.50
     strict_lift: bool = False  # require lift strictly > min_lift instead of >=
+    # min_confidence and min_lift as exact (numerator, denominator), read once
+    confidence_ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
+    lift_ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
         if not 0.0 < self.min_confidence <= 1.0:
             raise ValueError("min_confidence must be in (0, 1]")
-        if self.min_lift < 0.0:
-            raise ValueError("min_lift must be >= 0")
+        if not 0.0 <= self.min_lift < float("inf"):
+            raise ValueError("min_lift must be finite and >= 0")
+        object.__setattr__(self, "confidence_ratio", exact(self.min_confidence).as_integer_ratio())
+        object.__setattr__(self, "lift_ratio", exact(self.min_lift).as_integer_ratio())
 
 
 @dataclass(frozen=True)
@@ -93,23 +99,21 @@ def rule_metrics(
 
 
 def passes_thresholds(c_union: int, c_ant: int, c_cons: int, n: int, t: Thresholds) -> bool:
-    """Confidence and lift filters as integer-count inequalities.
+    """Confidence and lift filters as exact integer-count inequalities.
 
-    The relative slack absorbs the binary representation of decimal
-    thresholds (0.6 * 5 counts must pass min_confidence 0.60). The support
-    gate is support_cutoff, applied by callers. This predicate is the single
-    definition of the filter contract; miners and the brute-force oracle
-    share it while counting independently.
+    The thresholds are the decimals they print as (0.6 * 5 counts pass
+    min_confidence 0.60), held by Thresholds as integer ratios, so each test
+    is one product of integers. The support gate is support_cutoff, applied
+    by callers. This predicate is the single definition of the filter
+    contract; miners and the brute-force oracle share it while counting
+    independently.
     """
-    slack = 1e-9
-    conf_ok = c_union >= t.min_confidence * c_ant * (1 - slack)
-    lift_lhs = c_union * n
-    lift_rhs = t.min_lift * c_ant * c_cons
-    if t.strict_lift:
-        lift_ok = lift_lhs > lift_rhs * (1 + slack)
-    else:
-        lift_ok = lift_lhs >= lift_rhs * (1 - slack)
-    return conf_ok and lift_ok
+    conf_num, conf_den = t.confidence_ratio
+    lift_num, lift_den = t.lift_ratio
+    lift_lhs = c_union * n * lift_den
+    lift_rhs = lift_num * c_ant * c_cons
+    lift_ok = lift_lhs > lift_rhs if t.strict_lift else lift_lhs >= lift_rhs
+    return c_union * conf_den >= conf_num * c_ant and lift_ok
 
 
 def generate_rules(

@@ -36,12 +36,16 @@ def within_limits(db: TransactionDb, limits: OracleLimits) -> bool:
     return db.n_items <= limits.max_items and db.n_transactions <= limits.max_transactions
 
 
-def _subset_counts(db: TransactionDb) -> np.ndarray:
+def _subset_counts(db: TransactionDb, limits: OracleLimits) -> np.ndarray:
     """counts[mask] = transactions containing every item of the bitmask.
 
     Each subset is counted by a full scan over all transaction masks; the
     scan is vectorized but otherwise naive.
     """
+    if db.n_transactions == 0:
+        raise ValueError("empty transaction database")
+    if not within_limits(db, limits):
+        raise ValueError("oracle limits exceeded")
     masks = np.zeros(db.n_transactions, dtype=np.int64)
     for row, t in enumerate(db.transactions):
         m = 0
@@ -67,12 +71,8 @@ def brute_force_frequent(
     db: TransactionDb, min_support: float, limits: OracleLimits = OracleLimits()
 ) -> list[FrequentItemset]:
     """Every frequent itemset by exhaustive subset enumeration."""
-    if db.n_transactions == 0:
-        raise ValueError("empty transaction database")
-    if not within_limits(db, limits):
-        raise ValueError("oracle limits exceeded")
+    counts = _subset_counts(db, limits)
     min_count = support_cutoff(min_support, db.n_transactions)
-    counts = _subset_counts(db)
     found = [
         (_mask_to_items(mask), int(counts[mask]))
         for mask in range(1, 1 << db.n_items)
@@ -91,13 +91,9 @@ def brute_force_rules(
     Evaluates every disjoint nonempty (X, Y) split; pairs whose union misses
     the support cutoff are filtered up front (they could never pass).
     """
-    if db.n_transactions == 0:
-        raise ValueError("empty transaction database")
-    if not within_limits(db, limits):
-        raise ValueError("oracle limits exceeded")
+    counts = _subset_counts(db, limits)
     n = db.n_transactions
     min_count = support_cutoff(thresholds.min_support, n)
-    counts = _subset_counts(db)
     out: list[AssociationRule] = []
     for union_mask in range(1, 1 << db.n_items):
         c_union = int(counts[union_mask])

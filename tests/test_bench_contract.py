@@ -55,7 +55,7 @@ def test_ingest_calls(data_dir):
     assert sum(report.blanked_cells.values()) == 3
     assert not report.rows_dropped and not report.out_of_range
     assert (db.n_items, db.n_transactions) == (3, 5)
-    assert db.matrix.nbytes == 15
+    assert db.matrix.nbytes == 3  # traced.py's model.matrix_bytes: 3 items x 1 packed byte
 
 
 def test_rules_calls(data_dir):

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,15 @@ def test_minority_preset_sets_support():
     assert MINORITY_PRESET_MIN_SUPPORT == 0.02
     args = build_parser().parse_args(["rules", "--input", "x", "--schema", "y", "--minority-preset"])
     assert thresholds_from(args).min_support == 0.02
+
+
+@pytest.mark.parametrize("command", ["rules", "compare", "verify"])
+def test_minority_preset_excludes_min_support(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--input", "x", "--schema", "y",
+                                   "--min-support", "0.1", "--minority-preset"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_mine_d5(data_dir, capsys):
@@ -126,6 +139,33 @@ def test_format_rejected_where_output_is_fixed(data_dir, capsys, command):
         main([command, *d5_args(data_dir), "--format", "json"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+# Inputs that once ended in a traceback: (what, schema text or None for
+# d5.yaml, input is a directory, exit code).
+BAD_INPUTS = [
+    ("yaml-syntax", "columns: [a, b\n", False, 2),
+    ("top-level-list", "- name: a\n", False, 2),
+    ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", False, 2),
+    ("input-is-directory", None, True, 1),
+]
+
+
+@pytest.mark.parametrize("what,schema,input_is_dir,code", BAD_INPUTS, ids=[b[0] for b in BAD_INPUTS])
+def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, input_is_dir, code):
+    schema_path = data_dir / "d5.yaml"
+    if schema is not None:
+        schema_path = tmp_path / "schema.yaml"
+        schema_path.write_text(schema)
+    input_path = tmp_path if input_is_dir else data_dir / "d5.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.run(
+        [sys.executable, "-m", "electmine.cli", "rules", "--input", str(input_path),
+         "--schema", str(schema_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == code
+    assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
 
 
 def test_byte_identical_reruns(data_dir, tmp_path):

@@ -1,4 +1,4 @@
-"""The counting kernel against a direct per-row count."""
+"""The bit layout and the counting kernel against a direct per-row count."""
 
 from unittest import mock
 
@@ -11,6 +11,12 @@ from electmine import _kernels
 
 def direct_count(matrix, itemset):
     return sum(all(row[i] for i in itemset) for row in matrix)
+
+
+def pack_rows(matrix):
+    """_kernels.pack of the transactions a bool rows x items matrix holds."""
+    transactions = [tuple(int(i) for i in np.flatnonzero(row)) for row in matrix]
+    return _kernels.pack(transactions, matrix.shape[1])
 
 
 @st.composite
@@ -32,7 +38,21 @@ def counting_cases(draw):
 @example((np.ones((9, 2), dtype=bool), [(0,), (0, 1), (1,)], 2))
 def test_count_itemsets_matches_direct_count(case):
     matrix, itemsets, block_bytes = case
+    packed = pack_rows(matrix)
     with mock.patch.object(_kernels, "BLOCK_BYTES", block_bytes):
-        counts = _kernels.count_itemsets(matrix, itemsets)
+        counts = _kernels.count_itemsets(packed, itemsets)
     assert counts.dtype == np.int64
     assert counts.tolist() == [direct_count(matrix, s) for s in itemsets]
+
+
+@given(arrays(np.bool_, st.tuples(st.integers(0, 70), st.integers(0, 8))))
+@example(np.zeros((0, 3), dtype=bool))
+@example(np.ones((13, 2), dtype=bool))
+def test_pack_layout(matrix):
+    n_rows, n_items = matrix.shape
+    packed = pack_rows(matrix)
+    assert packed.dtype == np.uint8 and not packed.flags.writeable
+    assert packed.shape == (n_items, -(-n_rows // 8))
+    bits = np.unpackbits(packed, axis=1)
+    assert (bits[:, :n_rows] == matrix.T).all()
+    assert not bits[:, n_rows:].any()  # zero padding

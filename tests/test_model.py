@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electmine.fpgrowth import mine_fpgrowth
 from electmine.model import (
     ItemDictionary,
     TransactionDb,
@@ -9,6 +13,7 @@ from electmine.model import (
     encode_rows,
     support_cutoff,
 )
+from electmine.verify import brute_force_frequent
 
 from conftest import D5_ROWS
 
@@ -29,11 +34,6 @@ def test_encode_d5(d5):
     d, db = d5
     assert db.n_items == 3
     assert db.transactions == ((0, 1, 2), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-
-
-def test_encode_rejects_duplicate_attribute():
-    with pytest.raises(ValueError, match="duplicate attribute"):
-        encode_rows([[("q9", "No"), ("q9", "Yes")]], ["q9"])
 
 
 def test_encode_rejects_unknown_attribute():
@@ -71,6 +71,14 @@ def test_transaction_validation():
         TransactionDb(((2, 1),), n_items=3)
     with pytest.raises(ValueError):
         TransactionDb(((0, 5),), n_items=3)
+
+
+@pytest.mark.parametrize("miner", [mine_fpgrowth, brute_force_frequent])
+def test_packed_columns_built_only_for_the_kernel(miner):
+    _, db = encode_rows(D5_ROWS, ["a", "b", "c"])
+    assert len(miner(db, 0.4)) == 7
+    assert "matrix" not in vars(db)
+    assert db.matrix.shape == (3, 1) and "matrix" in vars(db)
 
 
 def test_encoding_determinism():
@@ -115,7 +123,19 @@ def test_per_attribute_exclusivity(rows):
         (0.05, 20, 1),  # 0.05 * 20 is 1 despite the float image sitting just above
         (0.001, 5, 1),  # never below one occurrence
         (0.5, 3, 2),
+        (0.1000000001, 10, 2),  # just above 1 occurrence: no slack rounds it down
     ],
 )
 def test_support_cutoff(min_support, n, expected):
     assert support_cutoff(min_support, n) == expected
+
+
+@given(st.integers(0, 9), st.integers(1, 10**6), st.data())
+def test_support_cutoff_matches_fraction_arithmetic(places, n, data):
+    # min_support = k / 10**places, drawn so that k / 10**places * n lands on,
+    # just below or just above a whole count
+    step = 10**places
+    whole = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(max(1, whole * step // n - 1), min(step, whole * step // n + 1)))
+    min_support = Fraction(k, step)
+    assert support_cutoff(float(min_support), n) == max(1, math.ceil(min_support * n))

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.model import ItemDictionary, TransactionDb, encode_rows
@@ -10,6 +13,7 @@ from electmine.rules import (
     format_lift,
     format_pct,
     generate_rules,
+    passes_thresholds,
     rule_metrics,
     rule_record,
 )
@@ -28,6 +32,9 @@ def test_thresholds_validation():
         Thresholds(min_confidence=1.5)
     with pytest.raises(ValueError):
         Thresholds(min_lift=-1.0)
+    for not_finite in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Thresholds(min_lift=not_finite)
 
 
 def test_rule_invariants():
@@ -117,6 +124,45 @@ def test_strict_lift_flag():
     strict = generate_rules(frequent, db, Thresholds(0.03, 0.5, 2.0, strict_lift=True))
     assert any(r.lift == 2.0 for r in inclusive)
     assert all(r.lift > 2.0 for r in strict)
+
+
+def test_thresholds_are_exact_at_survey_scale():
+    # lift 649150000/432766667 = 1.4999999988...: a relative slack of 1e-9 let it pass
+    assert not passes_thresholds(12983, 23389, 18503, 50000, Thresholds(0.03, 0.5, 1.5))
+    # confidence 3/5 and lift 6/5 exactly at their thresholds pass
+    assert passes_thresholds(3, 5, 5, 10, Thresholds(0.03, 0.6, 1.2))
+    assert not passes_thresholds(3, 5, 5, 10, Thresholds(0.03, 0.6, 1.2, strict_lift=True))
+
+
+def _decimal_near(draw, ratio: Fraction, places: int, low: int) -> Fraction:
+    """A decimal of `places` places within one step of ratio, at least low steps."""
+    step = 10**places
+    return Fraction(max(low, round(ratio * step) + draw(st.integers(-1, 1))), step)
+
+
+@st.composite
+def threshold_cases(draw):
+    """Counts of a rule and decimal thresholds at, just below or just above its metrics."""
+    n = draw(st.integers(1, 10**5))
+    c_ant, c_cons = draw(st.integers(1, n)), draw(st.integers(1, n))
+    c_union = draw(st.integers(0, min(c_ant, c_cons)))
+    places = draw(st.integers(0, 6))
+    confidence = min(Fraction(1), _decimal_near(draw, Fraction(c_union, c_ant), places, 1))
+    lift = _decimal_near(draw, Fraction(c_union * n, c_ant * c_cons), places, 0)
+    return c_union, c_ant, c_cons, n, confidence, lift, draw(st.booleans())
+
+
+@given(threshold_cases())
+@example((12983, 23389, 18503, 50000, Fraction(1, 2), Fraction(3, 2), False))
+@example((3, 5, 5, 10, Fraction(3, 5), Fraction(6, 5), True))
+def test_passes_thresholds_matches_fraction_arithmetic(case):
+    c_union, c_ant, c_cons, n, confidence, lift, strict = case
+    # float() of a decimal of at most 15 digits prints as that decimal
+    t = Thresholds(0.03, float(confidence), float(lift), strict_lift=strict)
+    rule_lift = Fraction(c_union * n, c_ant * c_cons)
+    lift_ok = rule_lift > lift if strict else rule_lift >= lift
+    expected = Fraction(c_union, c_ant) >= confidence and lift_ok
+    assert passes_thresholds(c_union, c_ant, c_cons, n, t) == expected
 
 
 def _dict(labels):
