@@ -152,8 +152,9 @@ def _load_db(args) -> tuple[ItemDictionary, TransactionDb]:
 
 
 def _check_counts(args) -> None:
-    """--max-len, --top and --repeat, on whichever subcommand takes them, must be >= 1."""
-    for option in ("max_len", "top", "repeat"):
+    """--max-len, --top, --repeat and --max-oracle-items, on whichever
+    subcommand takes them, must be >= 1."""
+    for option in ("max_len", "top", "repeat", "max_oracle_items"):
         value = getattr(args, option, None)
         if value is not None and value < 1:
             raise ConfigError(f"{option.replace('_', '-')} must be >= 1")
@@ -169,8 +170,11 @@ def _mine(args, db: TransactionDb, min_support: float) -> list[FrequentItemset]:
 
 def _write(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write output {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -294,8 +298,11 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     thresholds = thresholds_from(args)
+    try:
+        limits = OracleLimits(max_items=args.max_oracle_items)
+    except ValueError as exc:
+        raise ConfigError("max-oracle-items must be in 1..24") from exc
     _, db = _load_db(args)
-    limits = OracleLimits(max_items=min(args.max_oracle_items, 24))
     if not verify.within_limits(db, limits):
         raise ConfigError("oracle limits exceeded")
     report = verify.check_equivalence(db, thresholds.min_support, thresholds, limits)

@@ -46,6 +46,9 @@ class ColumnSpec:
             labels = [b.label for b in self.bins]
             if len(set(labels)) != len(labels):
                 raise ValueError(f"column {self.name!r}: bin labels not unique")
+            for b in self.bins:
+                if not b.lower <= b.upper:  # also false for a NaN bound
+                    raise ValueError(f"column {self.name!r}: bin {b.label!r} is reversed or has a NaN bound")
             for a, b in zip(self.bins, self.bins[1:]):
                 if b.lower <= a.upper:
                     raise ValueError(f"column {self.name!r}: bins overlap or are unordered")

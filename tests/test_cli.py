@@ -143,29 +143,38 @@ def test_format_rejected_where_output_is_fixed(data_dir, capsys, command):
 
 # Inputs that once ended in a traceback: (what, schema text or None for
 # d5.yaml, input is a directory, exit code).
+# (id, schema text or None for d5.yaml, --input is a directory, --output, exit code);
+# --output "dir" is a directory, "no-parent" a file in a missing directory.
 BAD_INPUTS = [
-    ("yaml-syntax", "columns: [a, b\n", False, 2),
-    ("top-level-list", "- name: a\n", False, 2),
-    ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", False, 2),
-    ("input-is-directory", None, True, 1),
+    ("yaml-syntax", "columns: [a, b\n", False, None, 2),
+    ("top-level-list", "- name: a\n", False, None, 2),
+    ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", False, None, 2),
+    ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", False, None, 2),
+    ("input-is-directory", None, True, None, 1),
+    ("output-is-directory", None, False, "dir", 1),
+    ("output-parent-missing", None, False, "no-parent", 1),
 ]
 
 
-@pytest.mark.parametrize("what,schema,input_is_dir,code", BAD_INPUTS, ids=[b[0] for b in BAD_INPUTS])
-def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, input_is_dir, code):
+@pytest.mark.parametrize("what,schema,input_is_dir,output,code", BAD_INPUTS, ids=[b[0] for b in BAD_INPUTS])
+def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, input_is_dir, output, code):
     schema_path = data_dir / "d5.yaml"
     if schema is not None:
         schema_path = tmp_path / "schema.yaml"
         schema_path.write_text(schema)
     input_path = tmp_path if input_is_dir else data_dir / "d5.csv"
+    output_args = {None: [], "dir": ["--output", str(tmp_path)],
+                   "no-parent": ["--output", str(tmp_path / "missing" / "out.txt")]}[output]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     child = subprocess.run(
         [sys.executable, "-m", "electmine.cli", "rules", "--input", str(input_path),
-         "--schema", str(schema_path)],
+         "--schema", str(schema_path), *output_args],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert child.returncode == code
     assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
+    if output is not None:
+        assert child.stderr.startswith("error: cannot write output ")
 
 
 def test_byte_identical_reruns(data_dir, tmp_path):
@@ -230,6 +239,14 @@ def test_count_below_one_is_config_error(data_dir, capsys, command, algorithm, o
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"{option} must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value,message", [("0", "must be >= 1"), ("25", "must be in 1..24")])
+def test_max_oracle_items_out_of_range(data_dir, capsys, value, message):
+    assert main(["verify", *d5_args(data_dir), "--max-oracle-items", value]) == 2
+    captured = capsys.readouterr()
+    assert f"max-oracle-items {message}" in captured.err
     assert captured.out == ""
 
 

@@ -133,6 +133,10 @@ def test_bins_partition_their_range():
     for age in range(18, 121):
         labels = [b.label for b in AGE_BINS if b.lower <= age <= b.upper]
         assert len(labels) == 1
+    for reversed_or_nan in (Bin(5, 1, "x"), Bin(float("nan"), 10, "x"), Bin(0, float("nan"), "x")):
+        with pytest.raises(ValueError, match="reversed or has a NaN bound"):
+            ColumnSpec("age", kind="numeric_binned", bins=(reversed_or_nan,))
+    ColumnSpec("age", kind="numeric_binned", bins=(Bin(7, 7, "seven"),))  # one-value bins are fine
 
 
 def test_column_spec_validation():

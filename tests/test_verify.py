@@ -1,4 +1,8 @@
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.model import TransactionDb
@@ -6,10 +10,12 @@ from electmine.rules import Thresholds, generate_rules
 from electmine.verify import (
     MINERS,
     OracleLimits,
+    _subset_counts,
     brute_force_frequent,
     brute_force_rules,
     check_equivalence,
     random_db,
+    within_limits,
 )
 
 
@@ -33,6 +39,35 @@ def test_oracle_rejects_too_many_items():
     db = TransactionDb((tuple(range(21)),), n_items=21)
     with pytest.raises(ValueError, match="oracle limits exceeded"):
         brute_force_frequent(db, 0.5)
+
+
+@st.composite
+def small_dbs(draw):
+    """0-10 items and 1-60 transactions, empty transactions included."""
+    n_items = draw(st.integers(0, 10))
+    transaction = st.frozensets(st.integers(0, n_items - 1)) if n_items else st.just(frozenset())
+    rows = draw(st.lists(transaction, min_size=1, max_size=60))
+    return TransactionDb(tuple(tuple(sorted(t)) for t in rows), n_items=n_items)
+
+
+@given(small_dbs())
+@example(TransactionDb(((),), n_items=0))
+@example(TransactionDb(((), (0, 1, 2), (2,)), n_items=3))
+def test_subset_counts_match_their_definition(db):
+    masks = [sum(1 << item for item in t) for t in db.transactions]
+    counts = _subset_counts(db, OracleLimits())
+    assert counts.shape == (1 << db.n_items,)
+    assert counts.tolist() == [sum(m & s == s for m in masks) for s in range(1 << db.n_items)]
+
+
+def test_oracle_has_no_row_limit():
+    rng = np.random.default_rng(5)
+    include = rng.random((6000, 8)) < rng.uniform(0.2, 0.7, size=8)
+    db = TransactionDb(tuple(tuple(np.flatnonzero(row).tolist()) for row in include), n_items=8)
+    assert within_limits(db, OracleLimits())
+    oracle = as_pairs(brute_force_frequent(db, 0.05))
+    assert oracle == as_pairs(mine_apriori(db, MinerConfig(0.05)))
+    assert len(oracle) > 8
 
 
 def test_oracle_empty_result_above_max_frequency(d5_db):
@@ -96,6 +131,14 @@ def test_corrupted_miner_is_named(d5_db):
     )
     assert not report.equivalent
     assert "(0,)" in report.detail
+
+
+@pytest.mark.parametrize("emptied,where", [("brute_force_rules", "apriori"), ("generate_rules", "oracle-rules")])
+def test_rule_divergence_is_named(d5_db, emptied, where):
+    # Itemsets agree; one side's rules go missing, so the first rule is only in the other.
+    with mock.patch(f"electmine.verify.{emptied}", return_value=[]):
+        report = check_equivalence(d5_db, 0.03, Thresholds(0.03, 0.60, 0.0))
+    assert report.detail == f"rule (0,) -> (1,) only in {where}"
 
 
 def test_random_db_is_deterministic():
