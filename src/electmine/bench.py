@@ -85,5 +85,5 @@ def compare(
                 )
             )
         except Exception as exc:  # keep going with the other algorithms
-            rows.append(AlgorithmRow(algorithm=name, error=str(exc)))
+            rows.append(AlgorithmRow(algorithm=name, error=f"{type(exc).__name__}: {exc}"))
     return ComparisonReport(rows=tuple(rows))

@@ -28,7 +28,9 @@ from electmine.rules import (
     generate_rules,
     rule_metrics,
 )
-from electmine.verify import brute_force_frequent, brute_force_rules, random_db
+from electmine.verify import brute_force_frequent, brute_force_rules
+
+from conftest import random_db
 
 SUPPORT_GRID = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 

@@ -4,7 +4,9 @@ import pytest
 
 from electmine.apriori import MinerConfig, count_support, generate_candidates, mine_apriori
 from electmine.model import TransactionDb, support_cutoff
-from electmine.verify import brute_force_frequent, random_db
+from electmine.verify import brute_force_frequent
+
+from conftest import random_db
 
 
 def as_pairs(frequent):

@@ -69,6 +69,14 @@ def test_rules_calls(data_dir):
     assert pairs(mine_fpgrowth(db, min_support)) == pairs(frequent)
     tree = build_fptree(db, min_support)
     assert tree.root.children
+    # traced.py's _tree_nodes walk of tree.root gives fpgrowth.tree_nodes:
+    # d5's a-b-c, a-b, a-c, b-c, a-b-c share six prefixes, one node each.
+    nodes, stack = 0, [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes += len(node.children)
+        stack.extend(node.children.values())
+    assert nodes == len(tree.count) - 1 == 6
     assert pairs(mine_fptree(tree, min_support, db.n_transactions)) == pairs(frequent)
 
     level = sorted(fs.items for fs in frequent if len(fs.items) == 1)

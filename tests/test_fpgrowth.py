@@ -1,9 +1,14 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.fpgrowth import build_fptree, mine_fpgrowth, mine_fptree
-from electmine.model import TransactionDb
-from electmine.verify import brute_force_frequent, random_db
+from electmine.model import TransactionDb, support_cutoff
+from electmine.verify import brute_force_frequent
+
+from conftest import random_db, small_dbs
 
 
 def as_pairs(frequent):
@@ -14,22 +19,22 @@ def test_d5_header_totals(d5_db):
     tree = build_fptree(d5_db, 0.6)
     assert tree.item_total == {0: 4, 1: 4, 2: 4}
     for item, nodes in tree.header.items():
-        assert sum(n.count for n in nodes) == tree.item_total[item]
+        assert sum(tree.count[n] for n in nodes) == tree.item_total[item]
 
 
 def test_identical_transactions_share_one_path():
     db = TransactionDb(((0, 1),) * 4, n_items=2)
     tree = build_fptree(db, 0.5)
-    assert len(tree.root.children) == 1
-    first = next(iter(tree.root.children.values()))
-    assert first.count == 4
-    second = next(iter(first.children.values()))
-    assert second.count == 4
+    # root -> 0 -> 1: one child under the root, one under it, both counted 4
+    assert tree.parent == [-1, 0, 1]
+    assert tree.item == [None, 0, 1]
+    assert tree.count[1:] == [4, 4]
 
 
 def test_cutoff_above_everything_gives_root_only():
     db = TransactionDb(((0,), (1,)), n_items=2)
     tree = build_fptree(db, 1.0)
+    assert (tree.item, tree.count, tree.parent, tree.child) == ([None], [0], [-1], {})
     assert tree.root.children == {}
     assert mine_fptree(tree, 1.0, db.n_transactions) == []
 
@@ -55,13 +60,58 @@ def test_single_path_combinations():
 def test_paths_strictly_descend_in_rank():
     db = random_db(11)
     tree = build_fptree(db, 0.05)
-    stack = [tree.root]
+    assert len(tree.count) > 1
+    for node in range(1, len(tree.count)):
+        up = tree.parent[node]
+        if up:
+            assert tree.rank[tree.item[up]] < tree.rank[tree.item[node]]
+
+
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
+def test_flat_tree_matches_its_definition(db, min_support):
+    tree = build_fptree(db, min_support)
+    min_count = support_cutoff(min_support, db.n_transactions)
+    totals = Counter(item for t in db.transactions for item in t)
+    ranked = sorted((i for i, c in totals.items() if c >= min_count), key=lambda i: (-totals[i], i))
+    assert list(tree.item_total.items()) == [(item, totals[item]) for item in ranked]
+    rank = {item: r for r, item in enumerate(ranked)}
+    assert tree.rank == rank
+
+    # One node per distinct nonempty prefix of the rank-sorted, filtered
+    # transactions, counted by the transactions that have that prefix.
+    prefixes: Counter = Counter()
+    for t in db.transactions:
+        path = tuple(sorted((i for i in t if i in rank), key=rank.__getitem__))
+        prefixes.update(path[:k] for k in range(1, len(path) + 1))
+    nodes = range(1, len(tree.count))
+    assert len(nodes) == len(prefixes)
+
+    def prefix(node):
+        path = []
+        while node:
+            path.append(tree.item[node])
+            node = tree.parent[node]
+        return tuple(reversed(path))
+
+    assert {prefix(node): tree.count[node] for node in nodes} == prefixes
+
+    for item, chain in tree.header.items():
+        assert all(tree.item[node] == item for node in chain)
+        assert sum(tree.count[node] for node in chain) == tree.item_total[item]
+    assert sorted(node for chain in tree.header.values() for node in chain) == list(nodes)
+
+    for node in nodes:
+        up = tree.parent[node]
+        if up:
+            assert rank[tree.item[up]] < rank[tree.item[node]]
+
+    # The nested view, walked as the benchmark counts FP-tree nodes.
+    walked, stack = 0, [tree.root]
     while stack:
-        node = stack.pop()
-        for child in node.children.values():
-            if node.item is not None:
-                assert tree.rank[node.item] < tree.rank[child.item]
-            stack.append(child)
+        view = stack.pop()
+        walked += len(view.children)
+        stack.extend(view.children.values())
+    assert walked == len(nodes)
 
 
 def test_conditional_base_reconstructs_totals():

@@ -1,10 +1,12 @@
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given
 
 from electmine.apriori import MinerConfig, mine_apriori
+from electmine.cli import main
 from electmine.model import TransactionDb
 from electmine.rules import Thresholds, generate_rules
 from electmine.verify import (
@@ -14,9 +16,10 @@ from electmine.verify import (
     brute_force_frequent,
     brute_force_rules,
     check_equivalence,
-    random_db,
     within_limits,
 )
+
+from conftest import random_db, small_dbs
 
 
 def as_pairs(frequent):
@@ -39,15 +42,6 @@ def test_oracle_rejects_too_many_items():
     db = TransactionDb((tuple(range(21)),), n_items=21)
     with pytest.raises(ValueError, match="oracle limits exceeded"):
         brute_force_frequent(db, 0.5)
-
-
-@st.composite
-def small_dbs(draw):
-    """0-10 items and 1-60 transactions, empty transactions included."""
-    n_items = draw(st.integers(0, 10))
-    transaction = st.frozensets(st.integers(0, n_items - 1)) if n_items else st.just(frozenset())
-    rows = draw(st.lists(transaction, min_size=1, max_size=60))
-    return TransactionDb(tuple(tuple(sorted(t)) for t in rows), n_items=n_items)
 
 
 @given(small_dbs())
@@ -119,7 +113,7 @@ def test_check_equivalence_random(seed):
     assert report.equivalent, report.detail
 
 
-def test_corrupted_miner_is_named(d5_db):
+def test_corrupted_miner_is_named(d5_db, data_dir, capsys):
     def lossy_apriori(db, min_support, max_len):
         return mine_apriori(db, MinerConfig(min_support, max_len))[1:]  # drop the first itemset
 
@@ -131,6 +125,20 @@ def test_corrupted_miner_is_named(d5_db):
     )
     assert not report.equivalent
     assert "(0,)" in report.detail
+
+    # A miner that raises is named in compare's row, with its exception type.
+    def crashing_fpgrowth(db, min_support, max_len):
+        raise KeyError(3)
+
+    io_args = ["--input", str(data_dir / "d5.csv"), "--schema", str(data_dir / "d5.yaml")]
+    outputs = {}
+    with mock.patch.dict(MINERS, {"fpgrowth": crashing_fpgrowth}):
+        for fmt in ("table", "csv", "json"):
+            assert main(["compare", *io_args, "--format", fmt]) == 0
+            outputs[fmt] = capsys.readouterr().out
+    assert "\nfpgrowth   error: KeyError: 3\n" in outputs["table"]
+    assert "\nfpgrowth,0,0,0,,,,0.0,KeyError: 3\r\n" in outputs["csv"]
+    assert [row["error"] for row in json.loads(outputs["json"])["rows"]] == [None, "KeyError: 3"]
 
 
 @pytest.mark.parametrize("emptied,where", [("brute_force_rules", "apriori"), ("generate_rules", "oracle-rules")])
