@@ -7,11 +7,12 @@ its items' packed rows: vertical tidset intersection as in Eclat (Zaki
 2000), on bitsets.
 
 Memory: `pack` holds an n_items * n_rows bool temporary while it packs, and
-its result is n_items * ceil(n_rows / 8) bytes. `count_itemsets` counts
-itemsets in blocks of one length; a block gathers at most BLOCK_BYTES of
-packed rows (one row, if a row alone is larger), and its gathered, AND-ed
-and popcount arrays are each that size. So the temporaries stay within
-three blocks however many itemsets a call counts.
+its result is n_items * ceil(n_rows / 8) bytes. `count_itemsets` counts one
+Apriori level a call, m itemsets of one length k as an (m, k) array, in
+blocks; a block gathers at most BLOCK_BYTES of packed rows (one row, if a
+row alone is larger), and its gathered, AND-ed and popcount arrays are each
+that size. So the temporaries stay within three blocks however many
+itemsets a level has.
 """
 
 from __future__ import annotations
@@ -37,19 +38,15 @@ def pack(transactions: Sequence[Sequence[int]], n_items: int) -> np.ndarray:
     return packed
 
 
-def count_itemsets(packed: np.ndarray, itemsets: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Occurrence count of each nonempty itemset in a `pack`ed database."""
-    counts = np.zeros(len(itemsets), dtype=np.int64)
+def count_itemsets(packed: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Occurrence count of each row of `level`, an (m, k) array of item ids
+    with k >= 1, in a `pack`ed database."""
+    counts = np.zeros(len(level), dtype=np.int64)
     block = max(1, BLOCK_BYTES // max(1, packed.shape[1]))
-    by_len: dict[int, list[int]] = {}
-    for i, itemset in enumerate(itemsets):
-        by_len.setdefault(len(itemset), []).append(i)
-    for positions in by_len.values():
-        members = np.array([itemsets[i] for i in positions], dtype=np.intp)  # (m, length)
-        for start in range(0, len(positions), block):
-            cols = members[start : start + block]
-            acc = packed[cols[:, 0]]  # fancy indexing copies, so the AND below never writes to packed
-            for j in range(1, cols.shape[1]):
-                acc &= packed[cols[:, j]]
-            counts[positions[start : start + block]] = np.bitwise_count(acc).sum(axis=1)
+    for start in range(0, len(level), block):
+        cols = level[start : start + block]
+        acc = packed[cols[:, 0]]  # fancy indexing copies, so the AND below never writes to packed
+        for j in range(1, cols.shape[1]):
+            acc &= packed[cols[:, j]]
+        counts[start : start + block] = np.bitwise_count(acc).sum(axis=1)
     return counts

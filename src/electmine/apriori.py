@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from . import _kernels
 from .model import FrequentItemset, ItemSet, TransactionDb, itemset_sort_key, support_cutoff
 
@@ -50,9 +52,12 @@ def generate_candidates(frequent_k_minus_1: Sequence[ItemSet], k: int) -> list[I
 
 
 def count_support(candidates: Sequence[ItemSet], db: TransactionDb) -> dict[ItemSet, int]:
-    """Exact occurrence count of each candidate itemset over the database."""
-    counts = _kernels.count_itemsets(db.matrix, candidates)
-    return {c: int(n) for c, n in zip(candidates, counts)}
+    """Exact occurrence count of each candidate of one level (all of one
+    length) over the database."""
+    if not candidates:
+        return {}
+    counts = _kernels.count_itemsets(db.matrix, np.array(candidates, dtype=np.intp))
+    return dict(zip(candidates, counts.tolist()))
 
 
 def mine_apriori(db: TransactionDb, cfg: MinerConfig) -> list[FrequentItemset]:

@@ -5,8 +5,8 @@ Defaults reproduce the published parameterization (support 0.03, confidence
 support 0.02. Diagnostics go to stderr, data to stdout or --output, so
 commands compose in pipelines.
 
-Exit codes: 0 success (or "equivalent" for verify), 1 data error or
-divergence, 2 configuration error.
+Exit codes: 0 success (or "equivalent" for verify), 1 data error,
+divergence or a miner that raised in compare, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def _load_db(args) -> tuple[ItemDictionary, TransactionDb]:
     """_load_pipeline for the commands that mine, which need transactions."""
     dictionary, db, _ = _load_pipeline(args)
     if db.n_transactions == 0:
-        raise DataError("empty transaction database")
+        raise DataError(f"{args.input}: empty transaction database")
     return dictionary, db
 
 
@@ -293,7 +293,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(str(exc)) from exc
     columns = [f.name for f in fields(bench.AlgorithmRow)]
     _emit(args, [asdict(row) for row in report.rows], columns, COMPARE_HEADERS, _compare_cells, report.note)
-    return 0
+    return 1 if any(row.error for row in report.rows) else 0
 
 
 def cmd_verify(args) -> int:

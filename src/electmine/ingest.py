@@ -81,12 +81,6 @@ class SchemaSpec:
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
 
-    def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def missing_tokens_for(self, col: ColumnSpec) -> frozenset[str]:
         tokens = col.missing_tokens if col.missing_tokens is not None else self.default_missing_tokens
         return frozenset(t.lower() for t in tokens)
@@ -168,26 +162,42 @@ def load_csv(path: str | Path, schema: SchemaSpec) -> LoadResult:
     """Read the survey CSV, keeping only schema columns with kind != drop.
 
     Header columns absent from the schema are ignored and reported; a schema
-    column absent from the header is an error.
+    column absent from the header is an error, and so is a line that is not
+    CSV or not UTF-8 (the ValueError names the file and the line).
     """
     wanted = [c.name for c in schema.columns if c.kind != DROP]
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the first header name.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file, no header")
-        header = list(reader.fieldnames)
-        missing = [name for name in wanted if name not in header]
-        if missing:
-            raise ValueError(f"{path}: schema columns missing from header: {missing}")
-        ignored = tuple(h for h in header if h not in {c.name for c in schema.columns})
-        rows = []
-        for line_no, raw in enumerate(reader, start=2):
-            if None in raw or any(v is None for v in raw.values()):
-                raise ValueError(f"{path}: malformed CSV line {line_no}")
-            rows.append({name: raw[name] for name in wanted})
+        try:
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty file, no header")
+            header = list(reader.fieldnames)
+            missing = [name for name in wanted if name not in header]
+            if missing:
+                raise ValueError(f"{path}: schema columns missing from header: {missing}")
+            ignored = tuple(h for h in header if h not in {c.name for c in schema.columns})
+            rows = []
+            for raw in reader:
+                if None in raw or any(v is None for v in raw.values()):
+                    raise ValueError(f"{path}: malformed CSV line {reader.line_num}")
+                rows.append({name: raw[name] for name in wanted})
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # raised per decoded chunk, so find the line
+            raise ValueError(f"{path}: line {_first_non_utf8_line(path)} is not UTF-8: {exc.reason}") from exc
     return LoadResult(rows=rows, ignored_columns=ignored)
+
+
+def _first_non_utf8_line(path: str | Path) -> int:
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0  # the file changed after the failed read
 
 
 def bin_numeric(value: float, bins: Sequence[Bin]) -> str:

@@ -9,10 +9,10 @@ always produce identical encodings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,36 +46,20 @@ class ItemDictionary:
     """Bijective map between item ids and "attribute_value" labels."""
 
     labels: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index: dict[str, int] = {}
-        for i, label in enumerate(self.labels):
+        seen: set[str] = set()
+        for label in self.labels:
             if "_" not in label:
                 raise ValueError(f"item label {label!r} has no attribute prefix")
-            if label in index:
+            if label in seen:
                 raise ValueError(f"duplicate item label {label!r}")
-            index[label] = i
-        object.__setattr__(self, "index", index)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def id_of(self, label: str) -> int:
-        return self.index[label]
+            seen.add(label)
 
     def label_of(self, item: int) -> str:
         if not 0 <= item < len(self.labels):
             raise KeyError(f"unknown item id {item}")
         return self.labels[item]
-
-    def attribute_of_id(self, item: int) -> str:
-        return attribute_of(self.label_of(item))
-
-
-def decode_itemset(dictionary: ItemDictionary, items: Iterable[int]) -> list[str]:
-    """Labels for an item-id set, in ascending item-id order."""
-    return [dictionary.label_of(i) for i in sorted(set(items))]
 
 
 @dataclass(frozen=True)

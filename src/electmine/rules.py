@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from . import _kernels
 from .model import (
     FrequentItemset,
     ItemDictionary,
@@ -77,25 +76,6 @@ class CategoryConfig:
             raise ValueError("equity_attributes must be nonempty")
         if not self.minority_attribute:
             raise ValueError("minority_attribute must be nonempty")
-
-
-def rule_metrics(
-    antecedent: Iterable[int], consequent: Iterable[int], db: TransactionDb
-) -> tuple[float, float, float]:
-    """(support, confidence, lift) of antecedent -> consequent by direct count."""
-    x = tuple(sorted(set(antecedent)))
-    y = tuple(sorted(set(consequent)))
-    if not x or not y or set(x) & set(y):
-        raise ValueError("antecedent and consequent must be nonempty and disjoint")
-    union = tuple(sorted(set(x) | set(y)))
-    cx, cy, cu = (int(c) for c in _kernels.count_itemsets(db.matrix, [x, y, union]))
-    if cx == 0 or cy == 0:
-        raise ValueError("unsupported rule body")
-    n = db.n_transactions
-    support = cu / n
-    confidence = cu / cx
-    lift = confidence / (cy / n)
-    return support, confidence, lift
 
 
 def passes_thresholds(c_union: int, c_ant: int, c_cons: int, n: int, t: Thresholds) -> bool:

@@ -39,6 +39,16 @@ def data_dir():
     return DATA_DIR
 
 
+def direct_rule_metrics(antecedent, consequent, db: TransactionDb) -> tuple[float, float, float]:
+    """(support, confidence, lift) of antecedent -> consequent, counted by set
+    containment over db.transactions: no miner and no counting kernel."""
+    rows = [set(t) for t in db.transactions]
+    x, y = set(antecedent), set(consequent)
+    c_x, c_y, c_xy = (sum(s <= row for row in rows) for s in (x, y, x | y))
+    n = len(rows)
+    return c_xy / n, c_xy / c_x, (c_xy / c_x) / (c_y / n)
+
+
 def random_db(
     seed: int,
     max_items: int = 15,

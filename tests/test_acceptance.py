@@ -26,11 +26,10 @@ from electmine.rules import (
     format_lift,
     format_pct,
     generate_rules,
-    rule_metrics,
 )
 from electmine.verify import brute_force_frequent, brute_force_rules
 
-from conftest import random_db
+from conftest import direct_rule_metrics, random_db
 
 SUPPORT_GRID = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 
@@ -209,9 +208,9 @@ def test_spae_smoke():
     frequent = mine_apriori(db, MinerConfig(0.03))
     rules = categorize(generate_rules(frequent, db, Thresholds()), dictionary, CategoryConfig())
     assert any("equity" in r.tags for r in rules)
-    ant = (dictionary.id_of("q40_Not too confident"),)
-    cons = (dictionary.id_of("q41_Not too confident"),)
-    support, confidence, lift = rule_metrics(ant, cons, db)
+    ant = {dictionary.labels.index("q40_Not too confident")}
+    cons = {dictionary.labels.index("q41_Not too confident")}
+    support, confidence, lift = direct_rule_metrics(ant, cons, db)
     assert lift > 1.5
     for observed, target in ((support, 0.0344), (confidence, 0.614), (lift, 8.31)):
         deviation = abs(observed - target) / target

@@ -1,11 +1,14 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from electmine.cli import (
     DEFAULT_MIN_CONFIDENCE,
@@ -141,28 +144,33 @@ def test_format_rejected_where_output_is_fixed(data_dir, capsys, command):
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
-# Inputs that once ended in a traceback: (what, schema text or None for
-# d5.yaml, input is a directory, exit code).
-# (id, schema text or None for d5.yaml, --input is a directory, --output, exit code);
-# --output "dir" is a directory, "no-parent" a file in a missing directory.
+# Inputs that once ended in a traceback, or in an error that named neither
+# the file nor the line: (id, schema text or None for d5.yaml, --input, --output,
+# exit code). --input is None for d5.csv, "dir" for a directory, or the bytes
+# of the input file; --output "dir" is a directory, "no-parent" a file in a
+# missing directory.
 BAD_INPUTS = [
-    ("yaml-syntax", "columns: [a, b\n", False, None, 2),
-    ("top-level-list", "- name: a\n", False, None, 2),
-    ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", False, None, 2),
-    ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", False, None, 2),
-    ("input-is-directory", None, True, None, 1),
-    ("output-is-directory", None, False, "dir", 1),
-    ("output-parent-missing", None, False, "no-parent", 1),
+    ("yaml-syntax", "columns: [a, b\n", None, None, 2),
+    ("top-level-list", "- name: a\n", None, None, 2),
+    ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", None, None, 2),
+    ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", None, None, 2),
+    ("input-is-directory", None, "dir", None, 1),
+    ("oversized-field", None, b"a,b,c\n1,1,1\n1," + b"x" * 131_073 + b",1\n", None, 1),
+    ("non-utf8", None, b"a,b,c\n1,1,1\n1,\xff,1\n", None, 1),
+    ("output-is-directory", None, None, "dir", 1),
+    ("output-parent-missing", None, None, "no-parent", 1),
 ]
 
 
-@pytest.mark.parametrize("what,schema,input_is_dir,output,code", BAD_INPUTS, ids=[b[0] for b in BAD_INPUTS])
-def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, input_is_dir, output, code):
+@pytest.mark.parametrize("what,schema,input_,output,code", BAD_INPUTS, ids=[b[0] for b in BAD_INPUTS])
+def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, input_, output, code):
     schema_path = data_dir / "d5.yaml"
     if schema is not None:
         schema_path = tmp_path / "schema.yaml"
         schema_path.write_text(schema)
-    input_path = tmp_path if input_is_dir else data_dir / "d5.csv"
+    input_path = {None: data_dir / "d5.csv", "dir": tmp_path}.get(input_, tmp_path / "input.csv")
+    if isinstance(input_, bytes):
+        input_path.write_bytes(input_)
     output_args = {None: [], "dir": ["--output", str(tmp_path)],
                    "no-parent": ["--output", str(tmp_path / "missing" / "out.txt")]}[output]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -175,6 +183,70 @@ def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, inp
     assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
     if output is not None:
         assert child.stderr.startswith("error: cannot write output ")
+    if isinstance(input_, bytes):  # the file and the line it fails at
+        assert child.stderr.startswith(f"error: {input_path}: line 3")
+
+
+ragged_row = st.lists(st.text("0123456789abc", min_size=1, max_size=3), min_size=1, max_size=6)
+
+
+@st.composite
+def unusable_csvs(draw):
+    """Bytes of a CSV for d5.yaml that no mining command can use."""
+    kind = draw(st.sampled_from(["empty", "bom-only", "header-only", "ragged", "oversized", "non-utf8"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    body = draw(st.lists(st.lists(st.text("0123456789abc", max_size=3), min_size=3, max_size=3), max_size=4))
+    rows = [["a", "b", "c"], *body]
+    if kind in ("empty", "bom-only"):
+        bom, rows = ("" if kind == "empty" else "\ufeff"), []
+    elif kind == "header-only":
+        rows = rows[:1]
+    elif kind == "ragged":
+        rows.insert(draw(st.integers(1, len(rows))), draw(ragged_row.filter(lambda r: len(r) != 3)))
+    elif kind == "oversized":  # a field over csv.field_size_limit()
+        rows.insert(draw(st.integers(1, len(rows))), ["1", "x" * draw(st.integers(131_073, 140_000)), "1"])
+    data = (bom + newline.join(map(",".join, rows)) + draw(st.sampled_from(["", newline]))).encode()
+    if kind == "non-utf8":  # one byte >= 0x80 anywhere makes valid UTF-8 invalid
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return data
+
+
+word = st.text("abcdefghij", min_size=1, max_size=6)
+bad_schemas = st.one_of(
+    word.map(lambda w: f"columns: [{w}\n"),  # unclosed flow sequence
+    word.map(lambda w: f"columns:\n\t- name: {w}\n"),  # tab indentation
+    word.map(lambda w: f"- name: {w}\n"),  # a list, not a mapping
+    word.map(lambda w: f"columns:\n  - {w}\n"),  # a column that is not a mapping
+    word.map(lambda w: f"columns:\n  - kind: {w}\n"),  # a column with no name
+    word.map(lambda w: f"columns:\n  - name: {w}\n    kind: {w}\n"),  # an unknown kind
+    word.map(lambda w: f"columns:\n  - name: {w}\n    kind: numeric_binned\n    bins: [[1, 2]]\n"),
+    word.map(lambda w: f"consistency_rules:\n  - description: {w}\n    conjuncts: {{a: '1'}}\n"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["mine", "rules", "compare", "verify"]),
+    case=st.one_of(unusable_csvs().map(lambda b: ("input", b)), bad_schemas.map(lambda t: ("schema", t))),
+)
+def test_unusable_input_is_an_error_line(tmp_path_factory, data_dir, command, case):
+    # In-process: main() returns the exit code and lets no exception escape.
+    where, content = case
+    input_path, schema_path = data_dir / "d5.csv", data_dir / "d5.yaml"
+    if where == "input":
+        input_path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+        input_path.write_bytes(content)
+        expected = (1, f"error: {input_path}: ")
+    else:
+        schema_path = tmp_path_factory.mktemp("fuzz") / "schema.yaml"
+        schema_path.write_text(content)
+        expected = (2, f"error: bad schema {schema_path}: ")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([command, "--input", str(input_path), "--schema", str(schema_path)])
+    assert (code, err.getvalue()[: len(expected[1])]) == expected
 
 
 def test_byte_identical_reruns(data_dir, tmp_path):

@@ -57,6 +57,10 @@ def test_load_csv_malformed_line(tmp_path):
     path.write_text("q9,age\nNo,35,extra,cells\n")
     with pytest.raises(ValueError, match="line 2"):
         load_csv(path, simple_schema())
+    # Lines, not records: a quoted field may span two of them.
+    path.write_text('q9,age\n"No\nreally",35\nYes\n')
+    with pytest.raises(ValueError, match="line 4"):
+        load_csv(path, simple_schema())
 
 
 def test_load_csv_utf8_bom(tmp_path):
@@ -191,7 +195,7 @@ consistency_rules:
     assert schema.keep == ("q9", "age")
     assert schema.default_missing_tokens == frozenset({"", "skip"})
     assert schema.consistency_rules[0].description == "impossible combo"
-    assert schema.column("age").bins[1].label == "30+"
+    assert schema.columns[1].bins[1].label == "30+"
 
 
 def test_shipped_spae_schema_parses():
@@ -199,5 +203,5 @@ def test_shipped_spae_schema_parses():
 
     schema = load_schema(Path(__file__).parents[1] / "configs" / "spae2022.yaml")
     assert len(schema.keep) == 14
-    assert schema.column("age").kind == "numeric_binned"
+    assert {c.name: c for c in schema.columns}["age"].kind == "numeric_binned"
     assert len(schema.consistency_rules) >= 1

@@ -21,21 +21,28 @@ def pack_rows(matrix):
 
 @st.composite
 def counting_cases(draw):
-    """A bool matrix, itemsets of mixed lengths over its columns, and a block budget."""
+    """A bool matrix, one level of itemsets over its columns (an (m, k)
+    array, every itemset of one length k), and a block budget."""
     n_rows = draw(st.integers(0, 70))  # 0, 1, and row counts on and off byte boundaries
     n_items = draw(st.integers(1, 8))
     matrix = draw(arrays(np.bool_, (n_rows, n_items)))
-    itemset = st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items, unique=True)
-    itemsets = draw(st.lists(itemset.map(lambda s: tuple(sorted(s))), max_size=40))
+    k = draw(st.integers(1, n_items))
+    itemset = st.lists(st.integers(0, n_items - 1), min_size=k, max_size=k, unique=True)
+    itemsets = draw(st.lists(itemset.map(sorted), max_size=40))
     # A budget of a few bytes puts one or a few itemsets in each block.
     block_bytes = draw(st.sampled_from([1, 3, 16, _kernels.BLOCK_BYTES]))
-    return matrix, itemsets, block_bytes
+    return matrix, np.array(itemsets, dtype=np.intp).reshape(len(itemsets), k), block_bytes
+
+
+def level(*itemsets):
+    return np.array(itemsets, dtype=np.intp)
 
 
 @given(counting_cases())
-@example((np.zeros((0, 3), dtype=bool), [(0,), (0, 2), (1, 2)], 1))
-@example((np.ones((1, 3), dtype=bool), [(0, 1, 2), (1,), (0, 2)], 1))
-@example((np.ones((9, 2), dtype=bool), [(0,), (0, 1), (1,)], 2))
+@example((np.zeros((0, 3), dtype=bool), level((0, 2), (1, 2)), 1))
+@example((np.ones((1, 3), dtype=bool), level((0, 1, 2)), 1))
+@example((np.ones((9, 2), dtype=bool), level((0,), (1,), (0,)), 2))
+@example((np.ones((9, 2), dtype=bool), np.empty((0, 2), dtype=np.intp), 1))  # an empty level
 def test_count_itemsets_matches_direct_count(case):
     matrix, itemsets, block_bytes = case
     packed = pack_rows(matrix)

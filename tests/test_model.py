@@ -9,7 +9,7 @@ from electmine.fpgrowth import mine_fpgrowth
 from electmine.model import (
     ItemDictionary,
     TransactionDb,
-    decode_itemset,
+    attribute_of,
     encode_rows,
     support_cutoff,
 )
@@ -26,7 +26,7 @@ def test_encode_single_attribute():
 
 def test_encode_empty():
     d, db = encode_rows([], ["q9"])
-    assert len(d) == 0
+    assert d.labels == ()
     assert db.n_transactions == 0
 
 
@@ -43,25 +43,27 @@ def test_encode_rejects_unknown_attribute():
 
 def test_decode_single():
     d = ItemDictionary(("q9_No",))
-    assert decode_itemset(d, {0}) == ["q9_No"]
+    assert d.label_of(0) == "q9_No"
 
 
 def test_decode_d5(d5_dict):
-    assert decode_itemset(d5_dict, {0, 2}) == ["a_1", "c_1"]
+    assert [d5_dict.label_of(i) for i in (0, 2)] == ["a_1", "c_1"]
 
 
-def test_decode_empty(d5_dict):
-    assert decode_itemset(d5_dict, set()) == []
+def test_decode_empty():
+    with pytest.raises(KeyError, match="0"):
+        ItemDictionary(()).label_of(0)
 
 
 def test_decode_unknown_id(d5_dict):
     with pytest.raises(KeyError, match="7"):
-        decode_itemset(d5_dict, {7})
+        d5_dict.label_of(7)
 
 
 def test_dictionary_is_bijective(d5_dict):
+    assert len(set(d5_dict.labels)) == len(d5_dict.labels)
     for i, label in enumerate(d5_dict.labels):
-        assert d5_dict.id_of(label) == i
+        assert d5_dict.label_of(i) == label
 
 
 def test_transaction_validation():
@@ -100,9 +102,10 @@ row_strategy = st.dictionaries(
 def test_decode_reencode_round_trip(rows):
     order = ["q1", "q2", "q3", "q4"]
     d, db = encode_rows(rows, order)
-    for t in db.transactions:
-        labels = decode_itemset(d, t)
-        assert tuple(sorted(d.id_of(label) for label in labels)) == t
+    for row, t in zip(rows, db.transactions):
+        labels = [d.label_of(i) for i in t]
+        assert sorted(labels) == sorted(f"{a}_{v}" for a, v in row.items())
+        assert tuple(sorted(d.labels.index(label) for label in labels)) == t
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,7 +113,7 @@ def test_decode_reencode_round_trip(rows):
 def test_per_attribute_exclusivity(rows):
     d, db = encode_rows(rows, ["q1", "q2", "q3", "q4"])
     for t in db.transactions:
-        attrs = [d.attribute_of_id(i) for i in t]
+        attrs = [attribute_of(d.label_of(i)) for i in t]
         assert len(attrs) == len(set(attrs))
 
 

@@ -14,9 +14,10 @@ from electmine.rules import (
     format_pct,
     generate_rules,
     passes_thresholds,
-    rule_metrics,
     rule_record,
 )
+
+from conftest import direct_rule_metrics
 
 
 def test_thresholds_defaults():
@@ -44,12 +45,26 @@ def test_rule_invariants():
         AssociationRule((), (1,), 0.1, 0.5, 1.0)
 
 
+def all_rules(db, min_support):
+    """Every rule of db's itemsets at min_support, by (antecedent, consequent)."""
+    frequent = mine_apriori(db, MinerConfig(min_support))
+    rules = generate_rules(frequent, db, Thresholds(min_support, 1e-9, 0.0))
+    return {(r.antecedent, r.consequent): r for r in rules}
+
+
+def metrics(rule):
+    return rule.support, rule.confidence, rule.lift
+
+
 def test_metrics_d5_a_to_b(d5_db):
-    assert rule_metrics({0}, {1}, d5_db) == (0.6, 0.75, 0.9375)
+    rule = all_rules(d5_db, 0.2)[(0,), (1,)]
+    assert metrics(rule) == direct_rule_metrics({0}, {1}, d5_db) == (0.6, 0.75, 0.9375)
 
 
 def test_metrics_d5_ab_to_c(d5_db):
-    support, confidence, lift = rule_metrics({0, 1}, {2}, d5_db)
+    rule = all_rules(d5_db, 0.2)[(0, 1), (2,)]
+    assert metrics(rule) == pytest.approx(direct_rule_metrics({0, 1}, {2}, d5_db))
+    support, confidence, lift = metrics(rule)
     assert support == pytest.approx(0.4)
     assert confidence == pytest.approx(2 / 3)
     assert lift == pytest.approx((2 / 3) / 0.8)
@@ -57,14 +72,18 @@ def test_metrics_d5_ab_to_c(d5_db):
 
 def test_lift_equals_confidence_when_consequent_everywhere():
     db = TransactionDb(((0, 1), (1,), (0, 1)), n_items=2)
-    _, confidence, lift = rule_metrics({0}, {1}, db)
-    assert lift == confidence
+    rule = all_rules(db, 0.1)[(0,), (1,)]
+    assert rule.lift == rule.confidence
+    _, confidence, lift = direct_rule_metrics({0}, {1}, db)
+    assert lift == confidence == rule.confidence
 
 
 def test_metrics_unsupported_body(d5_db):
+    # Item 3 occurs in no transaction, so no rule may have it on either side.
     extended = TransactionDb(d5_db.transactions, n_items=4)
-    with pytest.raises(ValueError, match="unsupported rule body"):
-        rule_metrics({3}, {0}, extended)
+    rules = all_rules(extended, 0.01)
+    assert rules.keys() == all_rules(d5_db, 0.01).keys()
+    assert all(3 not in ant + cons for ant, cons in rules)
 
 
 def test_d5_default_thresholds_no_rules(d5_db):

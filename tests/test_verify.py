@@ -134,7 +134,7 @@ def test_corrupted_miner_is_named(d5_db, data_dir, capsys):
     outputs = {}
     with mock.patch.dict(MINERS, {"fpgrowth": crashing_fpgrowth}):
         for fmt in ("table", "csv", "json"):
-            assert main(["compare", *io_args, "--format", fmt]) == 0
+            assert main(["compare", *io_args, "--format", fmt]) == 1
             outputs[fmt] = capsys.readouterr().out
     assert "\nfpgrowth   error: KeyError: 3\n" in outputs["table"]
     assert "\nfpgrowth,0,0,0,,,,0.0,KeyError: 3\r\n" in outputs["csv"]
