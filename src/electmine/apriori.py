@@ -8,26 +8,13 @@ shared counting kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .model import FrequentItemset, ItemSet, TransactionDb, itemset_sort_key, support_cutoff
-
-
-@dataclass(frozen=True)
-class MinerConfig:
-    min_support: float
-    max_itemset_len: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.min_support <= 1.0:
-            raise ValueError("min_support must be in (0, 1]")
-        if self.max_itemset_len is not None and self.max_itemset_len < 1:
-            raise ValueError("max_itemset_len must be >= 1")
+from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
 
 
 def generate_candidates(frequent_k_minus_1: Sequence[ItemSet], k: int) -> list[ItemSet]:

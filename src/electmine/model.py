@@ -100,6 +100,20 @@ class FrequentItemset:
             raise ValueError("frequent itemset must occur at least once")
 
 
+@dataclass(frozen=True)
+class MinerConfig:
+    """The thresholds every miner takes; each miner rejects the same values."""
+
+    min_support: float
+    max_itemset_len: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.min_support <= 1.0:
+            raise ValueError("min_support must be in (0, 1]")
+        if self.max_itemset_len is not None and self.max_itemset_len < 1:
+            raise ValueError("max_itemset_len must be >= 1")
+
+
 def itemset_sort_key(items: ItemSet):
     """Canonical output order: length ascending, then item ids lexicographic."""
     return (len(items), items)

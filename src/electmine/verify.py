@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .apriori import MinerConfig, mine_apriori
+from .apriori import mine_apriori
 from .fpgrowth import mine_fpgrowth
-from .model import FrequentItemset, ItemSet, TransactionDb, itemset_sort_key, support_cutoff
+from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
 from .rules import AssociationRule, Thresholds, generate_rules, passes_thresholds
 
 
@@ -122,15 +122,20 @@ def brute_force_rules(
 Miner = Callable[[TransactionDb, float, int | None], list[FrequentItemset]]
 
 
+def _oracle(db: TransactionDb, min_support: float, max_len: int | None) -> list[FrequentItemset]:
+    """The oracle as a miner: it enumerates every subset whatever max_len is,
+    then drops the longer ones."""
+    MinerConfig(min_support, max_len)  # the arguments the miners reject
+    return [fs for fs in brute_force_frequent(db, min_support) if max_len is None or len(fs.items) <= max_len]
+
+
 # Every route to the frequent itemsets, by CLI name: (db, min_support,
-# max_len) -> itemsets of at most max_len items (None: no bound). The oracle
-# enumerates every subset whatever max_len is, then drops the longer ones.
+# max_len) -> itemsets of at most max_len items (None: no bound). Each raises
+# the same ValueError for a min_support outside (0, 1] or a max_len below 1.
 MINERS: dict[str, Miner] = {
     "apriori": lambda db, min_support, max_len: mine_apriori(db, MinerConfig(min_support, max_len)),
     "fpgrowth": mine_fpgrowth,
-    "oracle": lambda db, min_support, max_len: [
-        fs for fs in brute_force_frequent(db, min_support) if max_len is None or len(fs.items) <= max_len
-    ],
+    "oracle": _oracle,
 }
 # The two miners under test; the oracle is their reference.
 MINER_PAIR = ("apriori", "fpgrowth")

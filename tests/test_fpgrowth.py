@@ -114,19 +114,76 @@ def test_flat_tree_matches_its_definition(db, min_support):
     assert walked == len(nodes)
 
 
-def test_conditional_base_reconstructs_totals():
-    db = random_db(7)
-    tree = build_fptree(db, 0.05)
-    for item, total in tree.item_total.items():
-        assert sum(weight for _, weight in tree.prefix_paths(item)) == total
+def check_projection(tree, item, min_count):
+    """tree.project(item, min_count) against its definition, computed from
+    item's prefix paths walked up through `parent`; returns the projection."""
+    paths = []
+    for node in tree.header[item]:
+        path, up = [], tree.parent[node]
+        while up:
+            path.append(tree.item[up])
+            up = tree.parent[up]
+        paths.append((path[::-1], tree.count[node]))
+    totals: Counter = Counter()
+    for path, weight in paths:
+        for i in path:
+            totals[i] += weight
+    kept = [i for i in tree.item_total if totals[i] >= min_count]
+
+    projected = tree.project(item, min_count)
+    if not kept:
+        assert projected is None
+        return None
+    assert list(projected.item_total.items()) == [(i, totals[i]) for i in kept]
+
+    # One node per distinct nonempty prefix of the filtered paths, counted by
+    # the weights of the paths that have that prefix.
+    prefixes: Counter = Counter()
+    for path, weight in paths:
+        filtered = tuple(i for i in path if i in projected.item_total)
+        for k in range(1, len(filtered) + 1):
+            prefixes[filtered[:k]] += weight
+    nodes = range(1, len(projected.count))
+    assert len(nodes) == len(prefixes)
+    assert {node_path(projected, node): projected.count[node] for node in nodes} == prefixes
+
+    for i, chain in projected.header.items():
+        assert all(projected.item[node] == i for node in chain)
+    assert sorted(node for chain in projected.header.values() for node in chain) == list(nodes)
+    assert all(projected.parent[node] < node for node in nodes)
+    stride = len(projected.item_total)
+    assert projected.child == {
+        projected.parent[node] * stride + projected.rank[projected.item[node]]: node for node in nodes
+    }
+    return projected
 
 
-def test_conditional_items_precede_conditioning_item():
-    db = random_db(5)
-    tree = build_fptree(db, 0.05)
+def node_path(tree, node):
+    """The items from the root down to node."""
+    path = []
+    while node:
+        path.append(tree.item[node])
+        node = tree.parent[node]
+    return tuple(reversed(path))
+
+
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
+def test_projection_matches_its_definition(db, min_support):
+    tree = build_fptree(db, min_support)
+    min_count = support_cutoff(min_support, db.n_transactions)
     for item in tree.item_total:
-        for path, _ in tree.prefix_paths(item):
-            assert all(tree.rank[p] < tree.rank[item] for p in path)
+        projected = check_projection(tree, item, min_count)
+        if projected is not None:  # conditional trees are projected too
+            for inner in projected.item_total:
+                check_projection(projected, inner, min_count)
+
+
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]), st.sampled_from([None, 1, 2, 3]))
+def test_matches_oracle(db, min_support, max_len):
+    expected = [
+        fs for fs in brute_force_frequent(db, min_support) if max_len is None or len(fs.items) <= max_len
+    ]
+    assert mine_fpgrowth(db, min_support, max_len) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -100,6 +100,22 @@ def test_brute_force_rules_match_generator(d5_db):
     assert from_generator == from_oracle
 
 
+@pytest.mark.parametrize("name", sorted(MINERS))
+@pytest.mark.parametrize(
+    "min_support,max_len,message",
+    [
+        (0.0, None, "min_support must be in"),
+        (1.5, None, "min_support must be in"),
+        (0.5, 0, "max_itemset_len must be >= 1"),
+        (0.5, -1, "max_itemset_len must be >= 1"),
+    ],
+    ids=["min-support-0", "min-support-1.5", "max-len-0", "max-len--1"],
+)
+def test_miners_reject_the_same_arguments(d5_db, name, min_support, max_len, message):
+    with pytest.raises(ValueError, match=message):
+        MINERS[name](d5_db, min_support, max_len)
+
+
 def test_check_equivalence_d5(d5_db):
     report = check_equivalence(d5_db, 0.6, Thresholds())
     assert report.equivalent
