@@ -114,6 +114,35 @@ def test_flat_tree_matches_its_definition(db, min_support):
     assert walked == len(nodes)
 
 
+def test_conditional_base_reconstructs_totals():
+    db = random_db(7)
+    tree = build_fptree(db, 0.05)
+    for item, total in tree.item_total.items():
+        containing = [t for t in db.transactions if item in t]
+        assert sum(tree.count[node] for node in tree.header[item]) == len(containing) == total
+        # Each projected total counts the transactions holding both items.
+        projected = tree.project(item, 1)
+        earlier = [i for i in tree.item_total if tree.rank[i] < tree.rank[item]]
+        expected = {i: sum(i in t for t in containing) for i in earlier}
+        expected = {i: n for i, n in expected.items() if n}
+        if projected is None:
+            assert expected == {}
+        else:
+            assert projected.item_total == expected
+
+
+def test_conditional_items_precede_conditioning_item():
+    db = random_db(5)
+    tree = build_fptree(db, 0.05)
+    for item in tree.item_total:
+        projected = tree.project(item, 1)
+        if projected is None:
+            continue
+        assert all(tree.rank[i] < tree.rank[item] for i in projected.item_total)
+        # The projection keeps the parent's item order.
+        assert sorted(projected.item_total, key=tree.rank.__getitem__) == list(projected.item_total)
+
+
 def check_projection(tree, item, min_count):
     """tree.project(item, min_count) against its definition, computed from
     item's prefix paths walked up through `parent`; returns the projection."""
