@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import yaml
 
 from . import bench, ingest, verify
-from .model import FrequentItemset, ItemDictionary, TransactionDb, encode_rows
+from .model import FrequentItemset, ItemDictionary, TransactionDb
 from .rules import (
     EQUITY_TAG, MINORITY_TAG, CategoryConfig, Thresholds, categorize, generate_rules, rule_record,
 )
@@ -122,24 +122,16 @@ def _load_pipeline(args) -> tuple[ItemDictionary, TransactionDb, ingest.CleanRep
     except (ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
         raise ConfigError(f"bad schema {args.schema}: {exc}") from exc
     try:
-        loaded = ingest.load_csv(args.input, schema)
+        dictionary, db, report = ingest.load(schema, args.input)
     except OSError as exc:
         raise DataError(f"cannot read input {args.input}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if loaded.ignored_columns:
+    if report.ignored_columns:
         print(
-            f"warning: {len(loaded.ignored_columns)} header columns not in schema, ignored",
+            f"warning: {len(report.ignored_columns)} header columns not in schema, ignored",
             file=sys.stderr,
         )
-    rows, report = ingest.clean(loaded.rows, schema, schema.consistency_rules)
-    del loaded  # the raw rows go before select_features copies the cleaned ones
-    keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != ingest.DROP)
-    try:
-        rows = ingest.select_features(rows, keep, schema)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    dictionary, db = encode_rows(rows, keep)
     return dictionary, db, report
 
 

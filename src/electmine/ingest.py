@@ -1,5 +1,7 @@
 """Survey CSV ingestion: schema-driven loading, cleaning, binning, and
-feature selection.
+feature selection. `load` does all four and the encoding in one pass;
+load_csv, clean and select_features are the same steps one at a time, on
+lists of row dicts.
 
 The schema (columns, missing tokens, numeric bins, consistency rules, keep
 list) ships as a YAML document so cleaning choices are data, not code; see
@@ -9,11 +11,15 @@ configs/spae2022.yaml for a complete example.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import yaml
+
+from .model import ItemDictionary, TransactionDb, encode_labels
 
 CATEGORICAL = "categorical"
 NUMERIC_BINNED = "numeric_binned"
@@ -24,7 +30,7 @@ DEFAULT_MISSING_TOKENS = frozenset({"", "na", "nan"})
 @dataclass(frozen=True)
 class Bin:
     lower: float
-    upper: float  # inclusive
+    upper: float  # inclusive in the last bin; bin_numeric has the rule
     label: str
 
 
@@ -80,6 +86,9 @@ class SchemaSpec:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
+        unknown = [name for name in self.keep if name not in names]
+        if unknown:
+            raise ValueError(f"keep columns absent from schema: {unknown}")
 
     def missing_tokens_for(self, col: ColumnSpec) -> frozenset[str]:
         tokens = col.missing_tokens if col.missing_tokens is not None else self.default_missing_tokens
@@ -91,6 +100,7 @@ class CleanReport:
     blanked_cells: dict[str, int] = field(default_factory=dict)
     out_of_range: dict[str, int] = field(default_factory=dict)
     rows_dropped: dict[str, int] = field(default_factory=dict)
+    ignored_columns: tuple[str, ...] = ()  # header columns not in the schema
 
     def as_text(self) -> str:
         lines = ["clean report"]
@@ -158,36 +168,111 @@ def load_schema(path: str | Path) -> SchemaSpec:
     )
 
 
+def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, TransactionDb, CleanReport]:
+    """Read, clean, select and encode the survey CSV in one pass.
+
+    The result equals load_csv, clean (with the schema's consistency rules),
+    select_features (with the schema's keep list, or every non-drop column)
+    and encode_rows in turn, and the report also lists the ignored header
+    columns. No row is held as a dict: each row becomes its transaction as
+    it is read. Each column keeps a memo from raw cell to outcome, so each
+    distinct cell is stripped, checked and binned once, and memory is
+    bounded by the distinct cells plus the transactions.
+    """
+    report = CleanReport()
+    cells = _cell_memos(schema)
+    keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != DROP)
+    with _reading(path) as reader:
+        positions, report.ignored_columns, width = _header(reader, path, schema)
+        # Keep columns first and in keep order, since item ids follow it.
+        order = [name for name in keep if name in positions]
+        order += [name for name in positions if name not in keep]
+        columns = [(name, positions[name], name in keep, cells[name]) for name in order]
+
+        def kept_rows() -> Iterator[list[str]]:
+            for row in _records(reader, path, width):
+                stripped: dict[str, str] = {}
+                labels = []
+                out_of_range = []
+                for name, pos, encode, memo in columns:
+                    value, cleaned, label = memo[row[pos]]
+                    if value is None:
+                        _tally(report.blanked_cells, name)
+                        continue
+                    stripped[name] = value
+                    if cleaned is None:
+                        out_of_range.append(name)
+                    elif encode:
+                        labels.append(label)
+                rule = next((r for r in schema.consistency_rules if r.matches(stripped)), None)
+                if rule is not None:
+                    _tally(report.rows_dropped, rule.description)
+                    continue
+                for name in out_of_range:
+                    _tally(report.out_of_range, name)
+                yield labels
+
+        dictionary, db = encode_labels(kept_rows())
+    return dictionary, db, report
+
+
 def load_csv(path: str | Path, schema: SchemaSpec) -> LoadResult:
     """Read the survey CSV, keeping only schema columns with kind != drop.
 
     Header columns absent from the schema are ignored and reported; a schema
-    column absent from the header is an error, and so is a line that is not
-    CSV or not UTF-8 (the ValueError names the file and the line).
+    column absent from the header or named twice in it is an error, and so
+    is a line that is not CSV or not UTF-8 (the ValueError names the file
+    and the line). Blank lines are skipped.
     """
-    wanted = [c.name for c in schema.columns if c.kind != DROP]
+    with _reading(path) as reader:
+        positions, ignored, width = _header(reader, path, schema)
+        rows = [{name: row[pos] for name, pos in positions.items()} for row in _records(reader, path, width)]
+    return LoadResult(rows=rows, ignored_columns=ignored)
+
+
+@contextmanager
+def _reading(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over the file. A CSV or UTF-8 error while reading it,
+    the header included, becomes a ValueError naming the file and the line."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the first header name.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None:
-                raise ValueError(f"{path}: empty file, no header")
-            header = list(reader.fieldnames)
-            missing = [name for name in wanted if name not in header]
-            if missing:
-                raise ValueError(f"{path}: schema columns missing from header: {missing}")
-            ignored = tuple(h for h in header if h not in {c.name for c in schema.columns})
-            rows = []
-            for raw in reader:
-                if None in raw or any(v is None for v in raw.values()):
-                    raise ValueError(f"{path}: malformed CSV line {reader.line_num}")
-                rows.append({name: raw[name] for name in wanted})
+            yield reader
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:  # raised per decoded chunk, so find the line
             raise ValueError(f"{path}: line {_first_non_utf8_line(path)} is not UTF-8: {exc.reason}") from exc
-    return LoadResult(rows=rows, ignored_columns=ignored)
+
+
+def _header(reader, path: str | Path, schema: SchemaSpec) -> tuple[dict[str, int], tuple[str, ...], int]:
+    """Read the header: the position of each non-drop schema column, the
+    header columns absent from the schema, and the header's width."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file, no header")
+    wanted = [c.name for c in schema.columns if c.kind != DROP]
+    missing = [name for name in wanted if name not in header]
+    if missing:
+        raise ValueError(f"{path}: schema columns missing from header: {missing}")
+    for col in schema.columns:
+        if header.count(col.name) > 1:
+            raise ValueError(f"{path}: column {col.name!r} appears twice in the header")
+    known = {c.name for c in schema.columns}
+    ignored = tuple(h for h in header if h not in known)
+    return {name: header.index(name) for name in wanted}, ignored, len(header)
+
+
+def _records(reader, path: str | Path, width: int) -> Iterator[list[str]]:
+    """The rows after the header, blank lines skipped; a row whose width is
+    not the header's is a ValueError."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}: malformed CSV line {reader.line_num}")
+        yield row
 
 
 def _first_non_utf8_line(path: str | Path) -> int:
@@ -201,11 +286,65 @@ def _first_non_utf8_line(path: str | Path) -> int:
 
 
 def bin_numeric(value: float, bins: Sequence[Bin]) -> str:
-    """Label of the unique bin containing value (bounds inclusive)."""
-    for b in bins:
-        if b.lower <= value <= b.upper:
-            return b.label
+    """Label of the bin holding value. Bins are half-open: bin i covers
+    [lower_i, lower_{i+1}) and the last bin [lower, upper], so a value
+    between two bins, such as an age of 29.5, falls in the lower one."""
+    if bins and bins[0].lower <= value <= bins[-1].upper:
+        for b in reversed(bins):
+            if b.lower <= value:
+                return b.label
     raise ValueError(f"out of binning range: {value}")
+
+
+def _clean_cell(
+    raw: str, name: str, missing: frozenset[str], bins: Sequence[Bin], bin_labels: frozenset[str]
+) -> tuple[str | None, str | None, str | None]:
+    """A cell of column name: the stripped cell (None for a missing answer),
+    its cleaned value, which is the stripped cell itself or, in a binned
+    column, its bin label (None if out of binning range), and the item
+    label "<name>_<cleaned value>". A bin label passes unchanged, so
+    cleaning is idempotent. An empty cleaned value gives the label
+    "<name>_", which ItemDictionary rejects as encode_rows rejects the
+    empty value."""
+    value = raw.strip()  # "White " and "White" are one answer
+    if value.lower() in missing:
+        return None, None, None
+    cleaned: str | None = value
+    if bins and value not in bin_labels:
+        try:
+            cleaned = bin_numeric(float(value), bins)
+        except ValueError:
+            return value, None, None
+    return value, cleaned, f"{name}_{cleaned}"
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key), so fill runs once
+    per distinct key."""
+
+    def __init__(self, fill: Callable[[str], tuple]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: str) -> tuple:
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _cell_memos(schema: SchemaSpec) -> dict[str, _Memo]:
+    """A memo from raw cell to _clean_cell outcome for each schema column."""
+    memos = {}
+    for col in schema.columns:
+        bins = col.bins if col.kind == NUMERIC_BINNED else ()
+        memos[col.name] = _Memo(partial(
+            _clean_cell, name=col.name, missing=schema.missing_tokens_for(col), bins=bins,
+            bin_labels=frozenset(b.label for b in bins),
+        ))
+    return memos
+
+
+def _tally(counts: dict[str, int], key: str) -> None:
+    counts[key] = counts.get(key, 0) + 1
 
 
 def clean(
@@ -216,45 +355,32 @@ def clean(
     """Strip cells, blank missing ones, drop contradictory rows, bin numeric columns.
 
     Missing answers simply disappear from the row (no "missing" item), so
-    downstream support denominators stay "all respondents". Cleaning is
-    idempotent: already-binned labels pass through unchanged.
+    downstream support denominators stay "all respondents". Rules test the
+    stripped cells before binning. Cleaning is idempotent: already-binned
+    labels pass through unchanged.
     """
     report = CleanReport()
-    missing = {c.name: schema.missing_tokens_for(c) for c in schema.columns}
-    binned = {
-        c.name: (c.bins, frozenset(b.label for b in c.bins))
-        for c in schema.columns
-        if c.kind == NUMERIC_BINNED
-    }
+    cells = _cell_memos(schema)
     cleaned: list[dict[str, str]] = []
     for row in rows:
-        out: dict[str, str] = {}
-        for name, value in row.items():
-            value = value.strip()  # "White " and "White" are one answer
-            if value.lower() in missing[name]:
-                report.blanked_cells[name] = report.blanked_cells.get(name, 0) + 1
-                continue
-            out[name] = value
-        dropped = False
-        for rule in consistency:
-            if rule.matches(out):
-                report.rows_dropped[rule.description] = report.rows_dropped.get(rule.description, 0) + 1
-                dropped = True
-                break
-        if dropped:
+        stripped: dict[str, str] = {}
+        values: dict[str, str | None] = {}
+        for name, raw in row.items():
+            value, cleaned_value, _ = cells[name][raw]
+            if value is None:
+                _tally(report.blanked_cells, name)
+            else:
+                stripped[name], values[name] = value, cleaned_value
+        rule = next((r for r in consistency if r.matches(stripped)), None)
+        if rule is not None:
+            _tally(report.rows_dropped, rule.description)
             continue
-        for name in list(out):
-            if name not in binned:
-                continue
-            bins, labels = binned[name]
-            value = out[name]
-            if value in labels:
-                continue  # already binned (idempotent re-clean)
-            try:
-                out[name] = bin_numeric(float(value), bins)
-            except ValueError:
-                del out[name]
-                report.out_of_range[name] = report.out_of_range.get(name, 0) + 1
+        out: dict[str, str] = {}
+        for name, value in values.items():
+            if value is None:
+                _tally(report.out_of_range, name)
+            else:
+                out[name] = value
         cleaned.append(out)
     return cleaned, report
 

@@ -9,10 +9,11 @@ always produce identical encodings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,8 +51,11 @@ class ItemDictionary:
     def __post_init__(self):
         seen: set[str] = set()
         for label in self.labels:
-            if "_" not in label:
+            _, sep, value = label.partition("_")
+            if not sep:
                 raise ValueError(f"item label {label!r} has no attribute prefix")
+            if not value:
+                raise ValueError(f"item label {label!r} has an empty value")
             if label in seen:
                 raise ValueError(f"duplicate item label {label!r}")
             seen.add(label)
@@ -70,10 +74,12 @@ class TransactionDb:
     n_items: int
 
     def __post_init__(self):
-        transactions = tuple(tuple(t) for t in self.transactions)
-        object.__setattr__(self, "transactions", transactions)
+        transactions = self.transactions
+        if type(transactions) is not tuple or not all(type(t) is tuple for t in transactions):
+            transactions = tuple(map(tuple, transactions))
+            object.__setattr__(self, "transactions", transactions)
         for row, t in enumerate(transactions):
-            if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+            if not all(map(operator.lt, t, t[1:])):
                 raise ValueError(f"transaction {row} is not sorted and duplicate-free: {t}")
             if t and (t[0] < 0 or t[-1] >= self.n_items):
                 raise ValueError(f"transaction {row} has an item id outside [0, {self.n_items})")
@@ -129,30 +135,29 @@ def encode_rows(
     """
     order = list(attribute_order)
     order_set = set(order)
-    labels: list[str] = []
+
+    def label_rows() -> Iterator[list[str]]:
+        for row_no, row in enumerate(rows):
+            unknown = set(row) - order_set
+            if unknown:
+                raise ValueError(f"row {row_no}: attributes not in attribute_order: {sorted(unknown)}")
+            labels = []
+            for attr in order:
+                if attr not in row:
+                    continue
+                if row[attr] == "":
+                    raise ValueError(f"row {row_no}: empty value for attribute {attr!r}")
+                labels.append(f"{attr}_{row[attr]}")
+            yield labels
+
+    return encode_labels(label_rows())
+
+
+def encode_labels(label_rows: Iterable[Iterable[str]]) -> tuple[ItemDictionary, TransactionDb]:
+    """Encode rows of "attribute_value" item labels, each label once a row.
+    Item ids are assigned in first-encounter order."""
     index: dict[str, int] = {}
-    transactions: list[ItemSet] = []
-
-    for row_no, row in enumerate(rows):
-        unknown = set(row) - order_set
-        if unknown:
-            raise ValueError(f"row {row_no}: attributes not in attribute_order: {sorted(unknown)}")
-        items = []
-        for attr in order:
-            if attr not in row:
-                continue
-            value = row[attr]
-            if value == "":
-                raise ValueError(f"row {row_no}: empty value for attribute {attr!r}")
-            label = f"{attr}_{value}"
-            item = index.get(label)
-            if item is None:
-                item = len(labels)
-                index[label] = item
-                labels.append(label)
-            items.append(item)
-        transactions.append(tuple(sorted(items)))
-
-    dictionary = ItemDictionary(tuple(labels))
-    db = TransactionDb(tuple(transactions), n_items=len(labels))
-    return dictionary, db
+    transactions = []
+    for labels in label_rows:
+        transactions.append(tuple(sorted([index.setdefault(label, len(index)) for label in labels])))
+    return ItemDictionary(tuple(index)), TransactionDb(tuple(transactions), n_items=len(index))

@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,60 @@ def direct_rule_metrics(antecedent, consequent, db: TransactionDb) -> tuple[floa
     c_x, c_y, c_xy = (sum(s <= row for row in rows) for s in (x, y, x | y))
     n = len(rows)
     return c_xy / n, c_xy / c_x, (c_xy / c_x) / (c_y / n)
+
+
+def direct_load(schema, path) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...], tuple[dict, ...]]:
+    """What ingest.load should give for a CSV: item labels, transactions and
+    the blanked, out-of-range and dropped counts. The cleaning rules are
+    applied straight from the schema's fields, rows come from
+    csv.DictReader, and no electmine.ingest code runs. ValueError for a
+    kept cell that is empty but not a missing answer."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = [c for c in schema.columns if c.kind != "drop"]
+    keep = schema.keep or [c.name for c in columns]
+    blanked, out_of_range, dropped = {}, {}, {}
+    labels: list[str] = []
+    transactions = []
+    for raw in rows:
+        row = {}
+        for col in columns:
+            tokens = schema.default_missing_tokens if col.missing_tokens is None else col.missing_tokens
+            value = raw[col.name].strip()
+            if value.lower() in {t.lower() for t in tokens}:
+                blanked[col.name] = blanked.get(col.name, 0) + 1
+            else:
+                row[col.name] = value
+        broken = [r for r in schema.consistency_rules if all(row.get(c) == v for c, v in r.conjuncts)]
+        if broken:
+            dropped[broken[0].description] = dropped.get(broken[0].description, 0) + 1
+            continue
+        for col in columns:
+            if col.kind != "numeric_binned" or row.get(col.name) in (None, *(b.label for b in col.bins)):
+                continue
+            try:
+                number = float(row[col.name])
+            except ValueError:
+                number = float("nan")
+            # Half-open: bin i holds [lower_i, lower_i+1), the last [lower, upper].
+            holding = [b.label for b in col.bins if b.lower <= number <= col.bins[-1].upper]
+            if holding:
+                row[col.name] = holding[-1]
+            else:
+                del row[col.name]
+                out_of_range[col.name] = out_of_range.get(col.name, 0) + 1
+        items = []
+        for name in keep:
+            if name not in row:
+                continue
+            if row[name] == "":
+                raise ValueError(f"empty value for {name!r}")
+            label = f"{name}_{row[name]}"
+            if label not in labels:
+                labels.append(label)
+            items.append(labels.index(label))
+        transactions.append(tuple(sorted(items)))
+    return tuple(labels), tuple(transactions), (blanked, out_of_range, dropped)
 
 
 def random_db(

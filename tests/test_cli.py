@@ -144,19 +144,22 @@ def test_format_rejected_where_output_is_fixed(data_dir, capsys, command):
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
-# Inputs that once ended in a traceback, or in an error that named neither
-# the file nor the line: (id, schema text or None for d5.yaml, --input, --output,
-# exit code). --input is None for d5.csv, "dir" for a directory, or the bytes
-# of the input file; --output "dir" is a directory, "no-parent" a file in a
-# missing directory.
+# Inputs that once ended in a traceback, in an error that named neither
+# the file nor the line, or in no error: (id, schema text or None for d5.yaml,
+# --input, --output, exit code). --input is None for d5.csv, "dir" for a
+# directory, or the bytes of the input file; --output "dir" is a directory,
+# "no-parent" a file in a missing directory.
 BAD_INPUTS = [
     ("yaml-syntax", "columns: [a, b\n", None, None, 2),
     ("top-level-list", "- name: a\n", None, None, 2),
     ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", None, None, 2),
     ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", None, None, 2),
+    # An unknown keep column is a schema error, found before the input is opened.
+    ("unknown-keep", "columns:\n  - name: a\nkeep: [a, q77]\n", "dir", None, 2),
     ("input-is-directory", None, "dir", None, 1),
     ("oversized-field", None, b"a,b,c\n1,1,1\n1," + b"x" * 131_073 + b",1\n", None, 1),
     ("non-utf8", None, b"a,b,c\n1,1,1\n1,\xff,1\n", None, 1),
+    ("duplicate-column", None, b"a,b,a,c\n1,1,1,1\n", None, 1),
     ("output-is-directory", None, None, "dir", 1),
     ("output-parent-missing", None, None, "no-parent", 1),
 ]
@@ -183,8 +186,15 @@ def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, inp
     assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
     if output is not None:
         assert child.stderr.startswith("error: cannot write output ")
-    if isinstance(input_, bytes):  # the file and the line it fails at
-        assert child.stderr.startswith(f"error: {input_path}: line 3")
+    if isinstance(input_, bytes):  # the file, and the line or the column at fault
+        assert child.stderr.startswith(f"error: {input_path}: {INPUT_FAULTS[what]}")
+
+
+INPUT_FAULTS = {
+    "oversized-field": "line 3",
+    "non-utf8": "line 3",
+    "duplicate-column": "column 'a' appears twice in the header",
+}
 
 
 ragged_row = st.lists(st.text("0123456789abc", min_size=1, max_size=3), min_size=1, max_size=6)

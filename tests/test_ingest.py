@@ -1,16 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electmine.ingest import (
+    DROP,
     Bin,
     ColumnSpec,
     ConsistencyRule,
     SchemaSpec,
     bin_numeric,
     clean,
+    load,
     load_csv,
     load_schema,
     select_features,
 )
+from electmine.model import encode_rows
+
+from conftest import direct_load
 
 AGE_BINS = (
     Bin(18, 29, "18-29"),
@@ -122,15 +129,19 @@ def test_clean_counts_out_of_range():
 @pytest.mark.parametrize(
     "age,label",
     [(18, "18-29"), (29, "18-29"), (30, "30-44"), (44, "30-44"),
-     (45, "45-64"), (64, "45-64"), (65, "65+"), (99, "65+")],
+     (45, "45-64"), (64, "45-64"), (65, "65+"), (99, "65+"),
+     # Half-open bins: a value between two bins is in the lower one, and
+     # the last bin's upper bound is inclusive.
+     (29.5, "18-29"), (29.999, "18-29"), (44.5, "30-44"), (120, "65+")],
 )
 def test_bin_boundaries(age, label):
     assert bin_numeric(age, AGE_BINS) == label
 
 
 def test_bin_out_of_range():
-    with pytest.raises(ValueError, match="out of binning range"):
-        bin_numeric(17, AGE_BINS)
+    for age in (17, 17.999, 120.5, float("nan")):
+        with pytest.raises(ValueError, match="out of binning range"):
+            bin_numeric(age, AGE_BINS)
 
 
 def test_bins_partition_their_range():
@@ -150,6 +161,11 @@ def test_column_spec_validation():
         ColumnSpec("age", kind="numeric_binned", bins=(Bin(0, 10, "a"), Bin(5, 20, "b")))
     with pytest.raises(ValueError, match="not unique"):
         ColumnSpec("age", kind="numeric_binned", bins=(Bin(0, 10, "a"), Bin(11, 20, "a")))
+
+
+def test_schema_rejects_unknown_keep_column():
+    with pytest.raises(ValueError, match=r"keep columns absent from schema: \['q77'\]"):
+        SchemaSpec(columns=(ColumnSpec("q9"),), keep=("q9", "q77"))
 
 
 def test_select_features():
@@ -205,3 +221,84 @@ def test_shipped_spae_schema_parses():
     assert len(schema.keep) == 14
     assert {c.name: c for c in schema.columns}["age"].kind == "numeric_binned"
     assert len(schema.consistency_rules) >= 1
+
+
+# Cells for the load property test: padding, missing tokens in mixed case,
+# and one pool shared by both categorical columns, so that one raw value
+# occurs in two columns.
+ANSWERS = ("x", "y", " x", "y ", "X", "x_y", "", " ", "na", "NA", " NaN ", "skip", "SKIP")
+AGES = ("35", " 35 ", "29", "29.5", "29.999", "30", "44.5", "120", "120.5", "17", "abc", "",
+        "na", "NA", "nan", "inf", "1e2", "18-29", " 65+", "30-44 ")
+
+
+@st.composite
+def survey_files(draw):
+    """(schema, CSV text): columns a and b (categorical), age (binned, with
+    gaps between bins), d (drop) and an ignored column z, in drawn header
+    order; blank lines among the rows; consistency rules on the stripped
+    cells of drawn rows, so that they drop some rows."""
+    header = draw(st.permutations(("a", "b", "age", "d", "z")))
+    cells = {"a": ANSWERS, "b": ANSWERS, "age": AGES, "d": ("x", ""), "z": ("1", "")}
+    row = st.fixed_dictionaries({h: st.sampled_from(cells[h]) for h in header})
+    rows = draw(st.lists(st.one_of(row, st.just(None)), max_size=25))
+    lines = [",".join(header), *("" if r is None else ",".join(r[h] for h in header) for r in rows)]
+
+    rules = []
+    for i, r in enumerate(draw(st.lists(st.sampled_from([r for r in rows if r] or [None]), max_size=3))):
+        names = draw(st.permutations(("a", "b", "age")))[:2]
+        if draw(st.integers(0, 4)) == 0:  # d is dropped and q77 absent: the rule never matches
+            names = (names[0], draw(st.sampled_from(("d", "q77"))))
+        conjuncts = tuple(sorted((name, (r or {}).get(name, "x").strip()) for name in names))
+        rules.append(ConsistencyRule(f"rule {i}", conjuncts))
+    keep = draw(st.one_of(st.just(()), st.permutations(("a", "b", "age")).flatmap(
+        lambda order: st.integers(1, 3).map(lambda k: tuple(order[:k])))))
+    tokens = draw(st.sampled_from([None, frozenset({"", "NA", "Skip"}), frozenset({"na", "nan"})]))
+    schema = SchemaSpec(
+        columns=(
+            ColumnSpec("a", missing_tokens=tokens),
+            ColumnSpec("b"),
+            ColumnSpec("age", kind="numeric_binned", bins=AGE_BINS),
+            ColumnSpec("d", kind=DROP),
+        ),
+        consistency_rules=tuple(rules),
+        keep=keep,
+    )
+    return schema, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def four_calls(schema, path):
+    """load_csv, clean, select_features and encode_rows in turn."""
+    loaded = load_csv(path, schema)
+    rows, report = clean(loaded.rows, schema, schema.consistency_rules)
+    keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != DROP)
+    dictionary, db = encode_rows(select_features(rows, keep, schema), keep)
+    return dictionary, db, report, loaded.ignored_columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(survey=survey_files())
+def test_load_matches_the_four_calls_and_the_direct_rules(tmp_path_factory, survey):
+    schema, text = survey
+    path = tmp_path_factory.mktemp("load") / "survey.csv"
+    path.write_text(text)
+
+    def outcome(read):
+        try:
+            return read()
+        except ValueError:  # a kept cell that is empty but not missing
+            return "ValueError"
+
+    def summary(dictionary, db, report):
+        counts = (report.blanked_cells, report.out_of_range, report.rows_dropped)
+        return dictionary.labels, db.transactions, counts
+
+    loaded = outcome(lambda: load(schema, path))
+    composed = outcome(lambda: four_calls(schema, path))
+    direct = outcome(lambda: direct_load(schema, path))
+    if loaded == "ValueError":
+        assert composed == direct == "ValueError"
+        return
+    dictionary, db, report = loaded
+    assert summary(dictionary, db, report) == summary(*composed[:3]) == direct
+    assert report.as_text() == composed[2].as_text()
+    assert report.ignored_columns == composed[3] == ("z",)
