@@ -127,6 +127,13 @@ def _mapping(value, what: str) -> Mapping:
     return value
 
 
+def _sequence(value, what: str) -> list:
+    # A YAML scalar is iterable too: "missing_tokens: na" would read as {'n', 'a'}.
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _bin(entry) -> Bin:
     if not isinstance(entry, list) or len(entry) != 3:
         raise ValueError(f"a bin is [lower, upper, label], not {entry!r}")
@@ -140,12 +147,15 @@ def load_schema(path: str | Path) -> SchemaSpec:
     columns = []
     for entry in doc.get("columns", []):
         entry = _mapping(entry, "a column entry")
+        name = str(entry["name"])
         tokens = entry.get("missing_tokens")
+        if tokens is not None:
+            tokens = frozenset(map(str, _sequence(tokens, f"column {name!r}: missing_tokens")))
         columns.append(
             ColumnSpec(
-                name=str(entry["name"]),
+                name=name,
                 kind=str(entry.get("kind", CATEGORICAL)),
-                missing_tokens=frozenset(map(str, tokens)) if tokens is not None else None,
+                missing_tokens=tokens,
                 bins=tuple(map(_bin, entry.get("bins", []))),
             )
         )
@@ -161,10 +171,11 @@ def load_schema(path: str | Path) -> SchemaSpec:
     return SchemaSpec(
         columns=tuple(columns),
         default_missing_tokens=(
-            frozenset(map(str, default_tokens)) if default_tokens is not None else DEFAULT_MISSING_TOKENS
+            frozenset(map(str, _sequence(default_tokens, "missing_tokens")))
+            if default_tokens is not None else DEFAULT_MISSING_TOKENS
         ),
         consistency_rules=tuple(rules),
-        keep=tuple(map(str, doc.get("keep", []))),
+        keep=tuple(map(str, _sequence(doc.get("keep", []), "keep"))),
     )
 
 
@@ -194,20 +205,26 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                 stripped: dict[str, str] = {}
                 labels = []
                 out_of_range = []
+                empty = None  # the first kept column whose answer is ""
                 for name, pos, encode, memo in columns:
                     value, cleaned, label = memo[row[pos]]
                     if value is None:
                         _tally(report.blanked_cells, name)
                         continue
                     stripped[name] = value
-                    if cleaned is None:
-                        out_of_range.append(name)
+                    if not cleaned:
+                        if cleaned is None:
+                            out_of_range.append(name)
+                        elif encode:
+                            empty = empty or name
                     elif encode:
                         labels.append(label)
                 rule = next((r for r in schema.consistency_rules if r.matches(stripped)), None)
                 if rule is not None:
                     _tally(report.rows_dropped, rule.description)
                     continue
+                if empty:
+                    raise ValueError(f"{path}: line {reader.line_num}: empty value in column {empty!r}")
                 for name in out_of_range:
                     _tally(report.out_of_range, name)
                 yield labels
@@ -303,9 +320,9 @@ def _clean_cell(
     its cleaned value, which is the stripped cell itself or, in a binned
     column, its bin label (None if out of binning range), and the item
     label "<name>_<cleaned value>". A bin label passes unchanged, so
-    cleaning is idempotent. An empty cleaned value gives the label
-    "<name>_", which ItemDictionary rejects as encode_rows rejects the
-    empty value."""
+    cleaning is idempotent. An empty cleaned value, a blank cell when ""
+    is not a missing token, is an error in a kept column of a kept row:
+    load names its line, and encode_rows its row."""
     value = raw.strip()  # "White " and "White" are one answer
     if value.lower() in missing:
         return None, None, None

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from electmine.apriori import MinerConfig, mine_apriori
-from electmine.bench import compare
-from electmine.cli import build_parser, thresholds_from
+from electmine.cli import build_parser, compare_records, thresholds_from
 from electmine.fpgrowth import mine_fpgrowth
 from electmine.ingest import Bin, bin_numeric
 from electmine.model import encode_rows
@@ -160,15 +159,10 @@ def test_equal_threshold_parity():
     for seed in (0, 7, 23):
         db = random_db(seed)
         dictionary = ItemDictionary(tuple(f"c{i}_1" for i in range(db.n_items)))
-        report = compare(db, dictionary, Thresholds(0.05, 0.5, 1.0), CategoryConfig())
-        a, b = report.rows
-        assert a.error is None and b.error is None
-        assert (a.total_rules, a.equity_rules, a.minority_rules) == (
-            b.total_rules, b.equity_rules, b.minority_rules,
-        )
-        assert (a.avg_support, a.avg_confidence, a.avg_lift) == (
-            b.avg_support, b.avg_confidence, b.avg_lift,
-        )
+        a, b = compare_records(db, dictionary, Thresholds(0.05, 0.5, 1.0))
+        assert a["error"] is None and b["error"] is None
+        columns = ("total_rules", "equity_rules", "minority_rules", "avg_support", "avg_confidence", "avg_lift")
+        assert [a[c] for c in columns] == [b[c] for c in columns]
     _ok("equal-threshold parity: rows differ only in wall time (published asymmetry not reproduced)")
 
 

@@ -115,8 +115,12 @@ def test_compare_d5(data_dir, capsys):
     assert rows[0]["total_rules"] == rows[1]["total_rules"] == 9
 
 
-def test_compare_unknown_algorithm(data_dir, capsys):
-    assert main(["compare", *d5_args(data_dir), "--algorithm", "eclat"]) == 2
+def test_compare_unknown_algorithm(data_dir, tmp_path, capsys):
+    # Exit 2, not 1 for the missing file: the input is never opened.
+    missing = ["--input", str(tmp_path / "no-such-file.csv"), "--schema", str(data_dir / "d5.yaml")]
+    for spec in ("eclat", "oracle", ","):
+        assert main(["compare", *missing, "--algorithm", spec]) == 2
+        assert "algorithm" in capsys.readouterr().err
 
 
 def test_compare_repeat_flag(data_dir):
@@ -156,10 +160,15 @@ BAD_INPUTS = [
     ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", None, None, 2),
     # An unknown keep column is a schema error, found before the input is opened.
     ("unknown-keep", "columns:\n  - name: a\nkeep: [a, q77]\n", "dir", None, 2),
+    # A scalar where a list belongs, which would otherwise be read letter by letter.
+    ("scalar-missing-tokens", "missing_tokens: na\ncolumns:\n  - name: a\n", "dir", None, 2),
+    ("scalar-column-missing-tokens", "columns:\n  - name: a\n    missing_tokens: na\n", "dir", None, 2),
+    ("scalar-keep", "columns:\n  - name: race\nkeep: race\n", "dir", None, 2),
     ("input-is-directory", None, "dir", None, 1),
     ("oversized-field", None, b"a,b,c\n1,1,1\n1," + b"x" * 131_073 + b",1\n", None, 1),
     ("non-utf8", None, b"a,b,c\n1,1,1\n1,\xff,1\n", None, 1),
     ("duplicate-column", None, b"a,b,a,c\n1,1,1,1\n", None, 1),
+    ("empty-kept-cell", "missing_tokens: [na]\ncolumns:\n  - name: a\n  - name: b\n", b"a,b\n1,2\n1,\n", None, 1),
     ("output-is-directory", None, None, "dir", 1),
     ("output-parent-missing", None, None, "no-parent", 1),
 ]
@@ -186,6 +195,8 @@ def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, inp
     assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
     if output is not None:
         assert child.stderr.startswith("error: cannot write output ")
+    if code == 2:
+        assert child.stderr.startswith(f"error: bad schema {schema_path}: ")
     if isinstance(input_, bytes):  # the file, and the line or the column at fault
         assert child.stderr.startswith(f"error: {input_path}: {INPUT_FAULTS[what]}")
 
@@ -194,6 +205,7 @@ INPUT_FAULTS = {
     "oversized-field": "line 3",
     "non-utf8": "line 3",
     "duplicate-column": "column 'a' appears twice in the header",
+    "empty-kept-cell": "line 3: empty value in column 'b'",
 }
 
 

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +169,35 @@ def test_column_spec_validation():
 def test_schema_rejects_unknown_keep_column():
     with pytest.raises(ValueError, match=r"keep columns absent from schema: \['q77'\]"):
         SchemaSpec(columns=(ColumnSpec("q9"),), keep=("q9", "q77"))
+
+
+def test_load_names_the_line_of_an_empty_kept_cell(tmp_path):
+    # Without "" among the missing tokens, a blank cell is an empty answer.
+    path = tmp_path / "survey.csv"
+    path.write_text("a,b\n1,\n1,2\n")
+    schema = SchemaSpec(columns=(ColumnSpec("a"), ColumnSpec("b")), default_missing_tokens=frozenset({"na"}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: empty value in column 'b'$"):
+        load(schema, path)
+    # Not an error in a column that is not kept, or in a row a rule drops.
+    dictionary, db, _ = load(replace(schema, keep=("a",)), path)
+    assert (dictionary.labels, db.transactions) == (("a_1",), ((0,), (0,)))
+    dropped = ConsistencyRule("b left blank", (("a", "1"), ("b", "")))
+    dictionary, db, report = load(replace(schema, consistency_rules=(dropped,)), path)
+    assert (dictionary.labels, db.transactions) == (("a_1", "b_2"), ((0, 1),))
+    assert report.rows_dropped == {"b left blank": 1}
+
+
+def test_schema_rejects_a_scalar_for_a_list(tmp_path):
+    # yaml reads "na" as a string, which would become the tokens {'n', 'a'}.
+    path = tmp_path / "schema.yaml"
+    for text, what in [
+        ("missing_tokens: na\ncolumns:\n  - name: a\n", "missing_tokens"),
+        ("columns:\n  - name: a\n    missing_tokens: na\n", "column 'a': missing_tokens"),
+        ("columns:\n  - name: race\nkeep: race\n", "keep"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{what} must be a list, not str$"):
+            load_schema(path)
 
 
 def test_select_features():
