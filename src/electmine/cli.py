@@ -324,6 +324,9 @@ def cmd_compare(args) -> int:
     unknown = [a for a in algorithms if a not in verify.MINER_PAIR]
     if unknown:  # the oracle among them: it is the miners' reference, not compared
         raise ConfigError(f"unknown algorithm: {unknown[0]}")
+    twice = [a for i, a in enumerate(algorithms) if a in algorithms[:i]]
+    if twice:
+        raise ConfigError(f"algorithm named twice: {twice[0]}")
     dictionary, db = _load_db(args)
     records = compare_records(db, dictionary, thresholds, algorithms, args.max_len, args.repeat)
     _emit(args, records, COMPARE_FIELDS, COMPARE_HEADERS, _compare_cells, PARITY_NOTE)

@@ -89,6 +89,12 @@ class SchemaSpec:
         unknown = [name for name in self.keep if name not in names]
         if unknown:
             raise ValueError(f"keep columns absent from schema: {unknown}")
+        twice = sorted({name for name in self.keep if self.keep.count(name) > 1})
+        if twice:
+            raise ValueError(f"keep columns named twice: {twice}")
+        dropped = [c.name for c in self.columns if c.kind == DROP and c.name in self.keep]
+        if dropped:
+            raise ValueError(f"keep columns of kind drop: {dropped}")
 
     def missing_tokens_for(self, col: ColumnSpec) -> frozenset[str]:
         tokens = col.missing_tokens if col.missing_tokens is not None else self.default_missing_tokens
@@ -127,6 +133,14 @@ def _mapping(value, what: str) -> Mapping:
     return value
 
 
+def _known(value, keys: tuple[str, ...], what: str) -> Mapping:
+    """_mapping(value, what) with no key outside keys: a misspelt key is an error, not ignored."""
+    unknown = sorted(str(k) for k in _mapping(value, what) if k not in keys)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    return value
+
+
 def _sequence(value, what: str) -> list:
     # A YAML scalar is iterable too: "missing_tokens: na" would read as {'n', 'a'}.
     if not isinstance(value, list):
@@ -143,10 +157,11 @@ def _bin(entry) -> Bin:
 def load_schema(path: str | Path) -> SchemaSpec:
     """Parse a YAML schema into a SchemaSpec; ValueError if it has the wrong shape."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = _mapping(yaml.safe_load(fh) or {}, "the schema")
+        doc = yaml.safe_load(fh) or {}
+    doc = _known(doc, ("columns", "missing_tokens", "consistency_rules", "keep"), "the schema")
     columns = []
     for entry in doc.get("columns", []):
-        entry = _mapping(entry, "a column entry")
+        entry = _known(entry, ("name", "kind", "missing_tokens", "bins"), "a column entry")
         name = str(entry["name"])
         tokens = entry.get("missing_tokens")
         if tokens is not None:
@@ -161,7 +176,7 @@ def load_schema(path: str | Path) -> SchemaSpec:
         )
     rules = []
     for entry in doc.get("consistency_rules", []):
-        entry = _mapping(entry, "a consistency rule")
+        entry = _known(entry, ("description", "conjuncts"), "a consistency rule")
         conjuncts = _mapping(entry["conjuncts"], "conjuncts")
         rules.append(ConsistencyRule(
             description=str(entry["description"]),

@@ -96,39 +96,50 @@ def passes_thresholds(c_union: int, c_ant: int, c_cons: int, n: int, t: Threshol
     return c_union * conf_den >= conf_num * c_ant and lift_ok
 
 
+def rule_from_counts(
+    antecedent: ItemSet, consequent: ItemSet, c_union: int, c_ant: int, c_cons: int, n: int
+) -> AssociationRule:
+    """The rule X -> Y with its metrics from the counts of X u Y, X and Y in
+    n transactions."""
+    lift = c_union * n / (c_ant * c_cons)
+    return AssociationRule(antecedent, consequent, c_union / n, c_union / c_ant, lift)
+
+
+def by_lift(rules: Sequence[AssociationRule]) -> list[AssociationRule]:
+    """The rules by lift descending, confidence descending, then antecedent
+    and consequent lexicographic: the order every rule list is output in."""
+    return sorted(rules, key=lambda r: (-r.lift, -r.confidence, r.antecedent, r.consequent))
+
+
 def generate_rules(
     frequent: Sequence[FrequentItemset], db: TransactionDb, t: Thresholds
 ) -> list[AssociationRule]:
-    """Every threshold-passing split X -> Y of each frequent itemset.
+    """Every threshold-passing split X -> Y of each frequent itemset, by_lift.
 
     Metrics come from the itemset counts already mined; a missing subset
     count means the caller mined at a higher support than the rule threshold.
-    Output sorts by lift descending, confidence descending, then antecedent
-    and consequent lexicographic.
     """
     n = db.n_transactions
     counts = {fs.items: fs.count for fs in frequent}
     min_count = support_cutoff(t.min_support, n)
     out: list[AssociationRule] = []
     for fs in frequent:
-        if len(fs.items) < 2 or fs.count < min_count:
-            continue
         items = fs.items
-        for ant_size in range(1, len(items)):
-            for antecedent in combinations(items, ant_size):
-                consequent = tuple(i for i in items if i not in antecedent)
+        k = len(items)
+        if k < 2 or fs.count < min_count:
+            continue
+        for ant_size in range(1, k):
+            # Same-size sorted subsets come in descending order of their
+            # indicator bits, and taking complements reverses that order.
+            consequents = reversed(list(combinations(items, k - ant_size)))
+            for antecedent, consequent in zip(combinations(items, ant_size), consequents):
                 c_ant = counts.get(antecedent)
                 c_cons = counts.get(consequent)
                 if c_ant is None or c_cons is None:
                     raise ValueError("incomplete itemset lattice")
                 if passes_thresholds(fs.count, c_ant, c_cons, n, t):
-                    confidence = fs.count / c_ant
-                    lift = fs.count * n / (c_ant * c_cons)
-                    out.append(
-                        AssociationRule(antecedent, consequent, fs.support, confidence, lift)
-                    )
-    out.sort(key=lambda r: (-r.lift, -r.confidence, r.antecedent, r.consequent))
-    return out
+                    out.append(rule_from_counts(antecedent, consequent, fs.count, c_ant, c_cons, n))
+    return by_lift(out)
 
 
 def categorize(

@@ -4,15 +4,14 @@ The oracle counts every subset of the item universe at once: it tallies each
 transaction's item bitmask, then sums every subset's supersets (the fast
 zeta transform), so its time and memory go with 2^n_items, not with rows.
 It shares nothing with the miners' counting paths (no kernel, no FP-tree),
-so agreement is meaningful. The threshold predicate and the ceil-based
-support cutoff are shared on purpose: they are the filter contract, not part
-of the counting route.
+so agreement is meaningful. The threshold predicate, the support cutoff, the
+rule constructor and the rule order are shared on purpose: they are the rule
+contract, not part of the counting route or of the split enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .apriori import mine_apriori
 from .fpgrowth import mine_fpgrowth
 from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
-from .rules import AssociationRule, Thresholds, generate_rules, passes_thresholds
+from .rules import AssociationRule, Thresholds, by_lift, generate_rules, passes_thresholds, rule_from_counts
 
 
 @dataclass(frozen=True)
@@ -28,8 +27,8 @@ class OracleLimits:
     max_items: int = 20
 
     def __post_init__(self):
-        if self.max_items > 24:
-            raise ValueError("max_items must be <= 24 (subset enumeration)")
+        if not 1 <= self.max_items <= 24:
+            raise ValueError("max_items must be in 1..24 (subset enumeration)")
 
 
 def within_limits(db: TransactionDb, limits: OracleLimits) -> bool:
@@ -82,41 +81,27 @@ def brute_force_frequent(
 def brute_force_rules(
     db: TransactionDb, thresholds: Thresholds, limits: OracleLimits = OracleLimits()
 ) -> list[AssociationRule]:
-    """Every threshold-passing rule by direct counting.
+    """Every threshold-passing rule by direct counting, by_lift.
 
-    Evaluates every disjoint nonempty (X, Y) split; pairs whose union misses
-    the support cutoff are filtered up front (they could never pass).
+    Walks every nonempty proper submask X of each frequent union, with Y the
+    rest; unions that miss the support cutoff could never pass, so they are
+    skipped.
     """
     counts = _subset_counts(db, limits)
     n = db.n_transactions
     min_count = support_cutoff(thresholds.min_support, n)
     out: list[AssociationRule] = []
-    for union_mask in _frequent_masks(counts, min_count):
-        c_union = int(counts[union_mask])
-        items = _mask_to_items(union_mask)
-        if len(items) < 2:
-            continue
-        for ant_size in range(1, len(items)):
-            for antecedent in combinations(items, ant_size):
-                ant_mask = 0
-                for item in antecedent:
-                    ant_mask |= 1 << item
-                cons_mask = union_mask & ~ant_mask
-                c_ant = int(counts[ant_mask])
-                c_cons = int(counts[cons_mask])
-                if passes_thresholds(c_union, c_ant, c_cons, n, thresholds):
-                    consequent = _mask_to_items(cons_mask)
-                    out.append(
-                        AssociationRule(
-                            antecedent,
-                            consequent,
-                            c_union / n,
-                            c_union / c_ant,
-                            c_union * n / (c_ant * c_cons),
-                        )
-                    )
-    out.sort(key=lambda r: (-r.lift, -r.confidence, r.antecedent, r.consequent))
-    return out
+    for union in _frequent_masks(counts, min_count):
+        c_union = int(counts[union])
+        ant = (union - 1) & union
+        while ant:
+            cons = union ^ ant
+            c_ant, c_cons = int(counts[ant]), int(counts[cons])
+            if passes_thresholds(c_union, c_ant, c_cons, n, thresholds):
+                x, y = _mask_to_items(ant), _mask_to_items(cons)
+                out.append(rule_from_counts(x, y, c_union, c_ant, c_cons, n))
+            ant = (ant - 1) & union
+    return by_lift(out)
 
 
 Miner = Callable[[TransactionDb, float, int | None], list[FrequentItemset]]
@@ -160,10 +145,6 @@ def _first_divergence(name_a, result_a, name_b, result_b, what):
     return None
 
 
-def _rule_key(rule: AssociationRule):
-    return (rule.antecedent, rule.consequent)
-
-
 def check_equivalence(
     db: TransactionDb,
     min_support: float,
@@ -171,15 +152,15 @@ def check_equivalence(
     limits: OracleLimits = OracleLimits(),
     miners: dict[str, Miner] | None = None,
 ) -> EquivalenceReport:
-    """Run apriori, fpgrowth, and (within limits) the oracle; report the
-    first divergence in itemsets or generated rules, or "equivalent"."""
+    """Run apriori, fpgrowth and the oracle; report the first divergence in
+    itemsets or generated rules, or "equivalent". A db over the oracle's
+    limits is a ValueError, raised before any miner runs."""
     if miners is None:
         miners = {name: MINERS[name] for name in MINER_PAIR}
     rule_thresholds = replace(thresholds, min_support=max(thresholds.min_support, min_support))
+    oracle = brute_force_frequent(db, min_support, limits)
     results = {name: miner(db, min_support, None) for name, miner in miners.items()}
-    in_limits = within_limits(db, limits)
-    if in_limits:
-        results["oracle"] = brute_force_frequent(db, min_support, limits)
+    results["oracle"] = oracle
 
     names = list(results)
     baseline = names[0]
@@ -190,13 +171,11 @@ def check_equivalence(
 
     # The itemset lists agree as (items, count) sets, so generate_rules gives
     # each of them the same rules: it runs once, on the baseline's.
-    rules = {_rule_key(r) for r in generate_rules(results[baseline], db, rule_thresholds)}
-    if in_limits:
-        oracle_rules = {_rule_key(r) for r in brute_force_rules(db, rule_thresholds, limits)}
-        diff = rules ^ oracle_rules
-        if diff:
-            ant, cons = sorted(diff)[0]
-            where = baseline if (ant, cons) in rules else "oracle-rules"
-            return EquivalenceReport(False, f"rule {ant} -> {cons} only in {where}")
+    rules = {(r.antecedent, r.consequent) for r in generate_rules(results[baseline], db, rule_thresholds)}
+    oracle_rules = {(r.antecedent, r.consequent) for r in brute_force_rules(db, rule_thresholds, limits)}
+    diff = rules ^ oracle_rules
+    if diff:
+        ant, cons = sorted(diff)[0]
+        where = baseline if (ant, cons) in rules else "oracle-rules"
+        return EquivalenceReport(False, f"rule {ant} -> {cons} only in {where}")
     return EquivalenceReport(True, "")
-

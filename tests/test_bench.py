@@ -62,7 +62,8 @@ def test_unknown_algorithm_rejected(data_dir, capsys):
     io_args = ["--input", str(data_dir / "d5.csv"), "--schema", str(data_dir / "d5.yaml")]
     # The oracle is the miners' reference, not compared.
     for spec, message in (("eclat", "unknown algorithm: eclat"), ("apriori,oracle", "unknown algorithm: oracle"),
-                          (",", "at least one algorithm required")):
+                          (",", "at least one algorithm required"),
+                          ("fpgrowth,apriori,fpgrowth", "algorithm named twice: fpgrowth")):
         assert main(["compare", *io_args, "--algorithm", spec]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")

@@ -118,7 +118,7 @@ def test_compare_d5(data_dir, capsys):
 def test_compare_unknown_algorithm(data_dir, tmp_path, capsys):
     # Exit 2, not 1 for the missing file: the input is never opened.
     missing = ["--input", str(tmp_path / "no-such-file.csv"), "--schema", str(data_dir / "d5.yaml")]
-    for spec in ("eclat", "oracle", ","):
+    for spec in ("eclat", "oracle", ",", "apriori,apriori"):
         assert main(["compare", *missing, "--algorithm", spec]) == 2
         assert "algorithm" in capsys.readouterr().err
 
@@ -164,6 +164,16 @@ BAD_INPUTS = [
     ("scalar-missing-tokens", "missing_tokens: na\ncolumns:\n  - name: a\n", "dir", None, 2),
     ("scalar-column-missing-tokens", "columns:\n  - name: a\n    missing_tokens: na\n", "dir", None, 2),
     ("scalar-keep", "columns:\n  - name: race\nkeep: race\n", "dir", None, 2),
+    # A misspelt key is a schema error that names the key, never dropped silently.
+    ("column-key", "column:\n  - name: a\n", "dir", None, 2),
+    ("missing-token-key", "missing_token: [na]\ncolumns:\n  - name: a\n", "dir", None, 2),
+    ("bin-key", "columns:\n  - name: a\n    bin: [[1, 2, x]]\n", "dir", None, 2),
+    ("conjunct-key", "columns:\n  - name: a\nconsistency_rules:\n  - description: x\n"
+                     "    conjunct: {a: '1', b: '1'}\n", "dir", None, 2),
+    # keep selects each non-drop column at most once.
+    ("keep-twice", "columns:\n  - name: a\n  - name: b\n  - name: c\nkeep: [a, a, c]\n", "dir", None, 2),
+    ("keep-drop", "columns:\n  - name: a\n  - name: b\n    kind: drop\n  - name: c\nkeep: [a, b, c]\n",
+     "dir", None, 2),
     ("input-is-directory", None, "dir", None, 1),
     ("oversized-field", None, b"a,b,c\n1,1,1\n1," + b"x" * 131_073 + b",1\n", None, 1),
     ("non-utf8", None, b"a,b,c\n1,1,1\n1,\xff,1\n", None, 1),
@@ -196,9 +206,19 @@ def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, inp
     if output is not None:
         assert child.stderr.startswith("error: cannot write output ")
     if code == 2:
-        assert child.stderr.startswith(f"error: bad schema {schema_path}: ")
+        assert child.stderr.startswith(f"error: bad schema {schema_path}: {SCHEMA_FAULTS.get(what, '')}")
     if isinstance(input_, bytes):  # the file, and the line or the column at fault
         assert child.stderr.startswith(f"error: {input_path}: {INPUT_FAULTS[what]}")
+
+
+SCHEMA_FAULTS = {
+    "column-key": "the schema has unknown keys ['column']",
+    "missing-token-key": "the schema has unknown keys ['missing_token']",
+    "bin-key": "a column entry has unknown keys ['bin']",
+    "conjunct-key": "a consistency rule has unknown keys ['conjunct']",
+    "keep-twice": "keep columns named twice: ['a']",
+    "keep-drop": "keep columns of kind drop: ['b']",
+}
 
 
 INPUT_FAULTS = {

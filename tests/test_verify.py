@@ -27,8 +27,9 @@ def as_pairs(frequent):
 
 
 def test_limits_validation():
-    with pytest.raises(ValueError):
-        OracleLimits(max_items=25)
+    for max_items in (25, 0, -1):
+        with pytest.raises(ValueError, match="max_items must be in 1..24"):
+            OracleLimits(max_items=max_items)
 
 
 def test_d5_oracle(d5_db):
@@ -93,11 +94,17 @@ def test_brute_force_rules_perfect_implication():
 
 
 def test_brute_force_rules_match_generator(d5_db):
-    t = Thresholds(0.03, 0.60, 0.0)
-    frequent = mine_apriori(d5_db, MinerConfig(0.03))
-    from_generator = {(r.antecedent, r.consequent) for r in generate_rules(frequent, d5_db, t)}
-    from_oracle = {(r.antecedent, r.consequent) for r in brute_force_rules(d5_db, t)}
-    assert from_generator == from_oracle
+    # The same rules in the same order with the same metrics: combinations with
+    # paired complements on one side, submasks of each union on the other.
+    cases = [(d5_db, Thresholds(0.03, 0.60, 0.0))]
+    cases += [(random_db(seed), Thresholds(0.1, 0.3, 0.0)) for seed in range(15)]
+    antecedent_sizes = set()
+    for db, t in cases:
+        rules = generate_rules(mine_apriori(db, MinerConfig(t.min_support)), db, t)
+        assert rules == brute_force_rules(db, t)
+        antecedent_sizes |= {len(r.antecedent) for r in rules}
+    # Seed 1 has 8-item itemsets, so splits with every antecedent size up to 7 get paired.
+    assert antecedent_sizes == set(range(1, 8))
 
 
 @pytest.mark.parametrize("name", sorted(MINERS))
@@ -120,6 +127,13 @@ def test_check_equivalence_d5(d5_db):
     report = check_equivalence(d5_db, 0.6, Thresholds())
     assert report.equivalent
     assert report.as_text() == "equivalent"
+
+
+def test_check_equivalence_needs_the_oracle():
+    # 21 items, one a row: cheap to mine, but past the oracle's limit, so no verdict.
+    db = TransactionDb(tuple((i,) for i in range(21)), n_items=21)
+    with pytest.raises(ValueError, match="oracle limits exceeded"):
+        check_equivalence(db, 0.5, Thresholds())
 
 
 @pytest.mark.parametrize("seed", range(15))
