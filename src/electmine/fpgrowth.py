@@ -13,6 +13,8 @@ counting kernel, so that check has an independent route.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
@@ -30,17 +32,17 @@ class FPTree:
     """Prefix tree with a header table of same-item node chains, held flat.
 
     Nodes are ids into the parallel lists ``item``, ``count`` and ``parent``;
-    node 0 is the root (item None, parent -1). ``child`` maps
-    ``parent * len(item_total) + rank`` to the child holding the item of that
-    rank, and ``header[item]`` lists the ids of the item's nodes in creation
-    order (the flat layout of Borgelt, "An Implementation of the FP-growth
-    Algorithm", OSDM 2005). ``item_total``, ``rank`` and ``header`` hold the
-    tree's items in rank order. In the root tree (``build_fptree``) that is
-    descending total count, ties broken by ascending item id; a projection
-    (``project``) keeps its parent's order over the items it kept. Every
-    root-to-node path lists items in strictly increasing rank, and every
-    node's id is above its parent's. ``root`` is a nested view for the
-    benchmark's node count.
+    node 0 is the root (item None, parent -1), and ``header[item]`` lists the
+    ids of the item's nodes in creation order (the flat layout of Borgelt,
+    "An Implementation of the FP-growth Algorithm", OSDM 2005). ``item_total``,
+    ``rank`` and ``header`` hold the tree's items in rank order. In the root
+    tree (``build_fptree``) that is descending total count, ties broken by
+    ascending item id; a projection (``project``) keeps its parent's order
+    over the items it kept. Every root-to-node path lists items in strictly
+    increasing rank, and every node's id is above its parent's. The lookup
+    from (parent, rank) to child is a local of the two constructors, freed
+    once the tree is built. ``root`` is a nested view for the benchmark's
+    node count.
     """
 
     def __init__(self, item_total: dict[int, int]):
@@ -49,7 +51,6 @@ class FPTree:
         self.item: list[int | None] = [None]
         self.count = [0]
         self.parent = [-1]
-        self.child: dict[int, int] = {}
         self.header: dict[int, list[int]] = {item: [] for item in item_total}
 
     def project(self, item: int, min_count: int) -> "FPTree | None":
@@ -90,7 +91,7 @@ class FPTree:
             return None
 
         tree = FPTree(kept)
-        rank, stride, child, header = tree.rank, len(kept), tree.child, tree.header
+        rank, stride, child, header = tree.rank, len(kept), {}, tree.header
         new_item, new_count, new_parent = tree.item, tree.count, tree.parent
         # mapped[node]: the projected node of node's nearest kept ancestor-or-self
         mapped = {0: 0}
@@ -128,13 +129,10 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
     min_count = support_cutoff(min_support, db.n_transactions)
-    totals: dict[int, int] = {}
-    for t in db.transactions:
-        for item in t:
-            totals[item] = totals.get(item, 0) + 1
+    totals = Counter(chain.from_iterable(db.transactions))
     ordered = sorted((i for i, c in totals.items() if c >= min_count), key=lambda i: (-totals[i], i))
     tree = FPTree({item: totals[item] for item in ordered})
-    rank, stride, child = tree.rank, len(ordered), tree.child
+    rank, stride, child = tree.rank, len(ordered), {}
     item_of, count, parent, header = tree.item, tree.count, tree.parent, tree.header
     for t in db.transactions:
         node = 0

@@ -11,6 +11,7 @@ configs/spae2022.yaml for a complete example.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,6 +47,8 @@ class ColumnSpec:
             raise ValueError(f"column name {self.name!r} contains '_' (reserved separator)")
         if self.kind not in (CATEGORICAL, NUMERIC_BINNED, DROP):
             raise ValueError(f"column {self.name!r}: unknown kind {self.kind!r}")
+        if self.bins and self.kind != NUMERIC_BINNED:
+            raise ValueError(f"column {self.name!r}: bins need kind numeric_binned, not {self.kind!r}")
         if self.kind == NUMERIC_BINNED:
             if not self.bins:
                 raise ValueError(f"column {self.name!r}: numeric_binned needs bins")
@@ -86,15 +89,18 @@ class SchemaSpec:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
-        unknown = [name for name in self.keep if name not in names]
-        if unknown:
-            raise ValueError(f"keep columns absent from schema: {unknown}")
         twice = sorted({name for name in self.keep if self.keep.count(name) > 1})
         if twice:
             raise ValueError(f"keep columns named twice: {twice}")
-        dropped = [c.name for c in self.columns if c.kind == DROP and c.name in self.keep]
-        if dropped:
-            raise ValueError(f"keep columns of kind drop: {dropped}")
+        dropped = {c.name for c in self.columns if c.kind == DROP}
+        ruled = tuple(dict.fromkeys(name for rule in self.consistency_rules for name, _ in rule.conjuncts))
+        for what, used in (("keep", self.keep), ("consistency rule", ruled)):
+            unknown = [name for name in used if name not in names]
+            if unknown:
+                raise ValueError(f"{what} columns absent from schema: {unknown}")
+            unread = [name for name in used if name in dropped]
+            if unread:
+                raise ValueError(f"{what} columns of kind drop: {unread}")
 
     def missing_tokens_for(self, col: ColumnSpec) -> frozenset[str]:
         tokens = col.missing_tokens if col.missing_tokens is not None else self.default_missing_tokens
@@ -103,19 +109,17 @@ class SchemaSpec:
 
 @dataclass
 class CleanReport:
-    blanked_cells: dict[str, int] = field(default_factory=dict)
-    out_of_range: dict[str, int] = field(default_factory=dict)
-    rows_dropped: dict[str, int] = field(default_factory=dict)
+    blanked_cells: Counter[str] = field(default_factory=Counter)
+    out_of_range: Counter[str] = field(default_factory=Counter)
+    rows_dropped: Counter[str] = field(default_factory=Counter)
     ignored_columns: tuple[str, ...] = ()  # header columns not in the schema
 
     def as_text(self) -> str:
         lines = ["clean report"]
-        for col in sorted(self.blanked_cells):
-            lines.append(f"  blanked cells  {col}: {self.blanked_cells[col]}")
-        for col in sorted(self.out_of_range):
-            lines.append(f"  out of range   {col}: {self.out_of_range[col]}")
-        for rule in sorted(self.rows_dropped):
-            lines.append(f"  rows dropped   {rule}: {self.rows_dropped[rule]}")
+        tallies = {"blanked cells": self.blanked_cells, "out of range": self.out_of_range,
+                   "rows dropped": self.rows_dropped}
+        for heading, tally in tallies.items():
+            lines += (f"  {heading:<14} {key}: {tally[key]}" for key in sorted(tally))
         if len(lines) == 1:
             lines.append("  nothing removed")
         return "\n".join(lines)
@@ -224,7 +228,7 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                 for name, pos, encode, memo in columns:
                     value, cleaned, label = memo[row[pos]]
                     if value is None:
-                        _tally(report.blanked_cells, name)
+                        report.blanked_cells[name] += 1
                         continue
                     stripped[name] = value
                     if not cleaned:
@@ -236,12 +240,12 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                         labels.append(label)
                 rule = next((r for r in schema.consistency_rules if r.matches(stripped)), None)
                 if rule is not None:
-                    _tally(report.rows_dropped, rule.description)
+                    report.rows_dropped[rule.description] += 1
                     continue
                 if empty:
                     raise ValueError(f"{path}: line {reader.line_num}: empty value in column {empty!r}")
                 for name in out_of_range:
-                    _tally(report.out_of_range, name)
+                    report.out_of_range[name] += 1
                 yield labels
 
         dictionary, db = encode_labels(kept_rows())
@@ -367,16 +371,11 @@ def _cell_memos(schema: SchemaSpec) -> dict[str, _Memo]:
     """A memo from raw cell to _clean_cell outcome for each schema column."""
     memos = {}
     for col in schema.columns:
-        bins = col.bins if col.kind == NUMERIC_BINNED else ()
         memos[col.name] = _Memo(partial(
-            _clean_cell, name=col.name, missing=schema.missing_tokens_for(col), bins=bins,
-            bin_labels=frozenset(b.label for b in bins),
+            _clean_cell, name=col.name, missing=schema.missing_tokens_for(col), bins=col.bins,
+            bin_labels=frozenset(b.label for b in col.bins),
         ))
     return memos
-
-
-def _tally(counts: dict[str, int], key: str) -> None:
-    counts[key] = counts.get(key, 0) + 1
 
 
 def clean(
@@ -400,17 +399,17 @@ def clean(
         for name, raw in row.items():
             value, cleaned_value, _ = cells[name][raw]
             if value is None:
-                _tally(report.blanked_cells, name)
+                report.blanked_cells[name] += 1
             else:
                 stripped[name], values[name] = value, cleaned_value
         rule = next((r for r in consistency if r.matches(stripped)), None)
         if rule is not None:
-            _tally(report.rows_dropped, rule.description)
+            report.rows_dropped[rule.description] += 1
             continue
         out: dict[str, str] = {}
         for name, value in values.items():
             if value is None:
-                _tally(report.out_of_range, name)
+                report.out_of_range[name] += 1
             else:
                 out[name] = value
         cleaned.append(out)

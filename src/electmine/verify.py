@@ -61,47 +61,48 @@ def _mask_to_items(mask: int) -> ItemSet:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _frequent_masks(counts: np.ndarray, min_count: int) -> list[int]:
-    """The nonempty subsets counted at least min_count times, ascending."""
-    return (np.flatnonzero(counts[1:] >= min_count) + 1).tolist()
-
-
 def brute_force_frequent(
     db: TransactionDb, min_support: float, limits: OracleLimits = OracleLimits()
 ) -> list[FrequentItemset]:
     """Every frequent itemset by exhaustive subset enumeration."""
     counts = _subset_counts(db, limits)
     min_count = support_cutoff(min_support, db.n_transactions)
-    found = [(_mask_to_items(mask), int(counts[mask])) for mask in _frequent_masks(counts, min_count)]
+    masks = np.flatnonzero(counts[1:] >= min_count) + 1  # the nonempty frequent subsets
+    found = [(_mask_to_items(mask), int(counts[mask])) for mask in masks.tolist()]
     found.sort(key=lambda pair: itemset_sort_key(pair[0]))
     n = db.n_transactions
     return [FrequentItemset(items, count, count / n) for items, count in found]
 
 
-def brute_force_rules(
-    db: TransactionDb, thresholds: Thresholds, limits: OracleLimits = OracleLimits()
-) -> list[AssociationRule]:
-    """Every threshold-passing rule by direct counting, by_lift.
+def _oracle_rules(frequent: list[FrequentItemset], n: int, thresholds: Thresholds) -> list[AssociationRule]:
+    """Every threshold-passing rule of the oracle's itemsets, by_lift.
 
-    Walks every nonempty proper submask X of each frequent union, with Y the
-    rest; unions that miss the support cutoff could never pass, so they are
-    skipped.
+    Walks every nonempty proper submask X of each union that meets the rule
+    support cutoff, with Y the rest; unions below it could never pass. Each
+    submask of a frequent union is frequent, so every lookup finds its count.
     """
-    counts = _subset_counts(db, limits)
-    n = db.n_transactions
+    counts = {sum(1 << item for item in fs.items): fs.count for fs in frequent}
     min_count = support_cutoff(thresholds.min_support, n)
     out: list[AssociationRule] = []
-    for union in _frequent_masks(counts, min_count):
-        c_union = int(counts[union])
+    for union, c_union in counts.items():
+        if c_union < min_count:
+            continue
         ant = (union - 1) & union
         while ant:
             cons = union ^ ant
-            c_ant, c_cons = int(counts[ant]), int(counts[cons])
+            c_ant, c_cons = counts[ant], counts[cons]
             if passes_thresholds(c_union, c_ant, c_cons, n, thresholds):
                 x, y = _mask_to_items(ant), _mask_to_items(cons)
                 out.append(rule_from_counts(x, y, c_union, c_ant, c_cons, n))
             ant = (ant - 1) & union
     return by_lift(out)
+
+
+def brute_force_rules(
+    db: TransactionDb, thresholds: Thresholds, limits: OracleLimits = OracleLimits()
+) -> list[AssociationRule]:
+    """Every threshold-passing rule by direct counting, by_lift."""
+    return _oracle_rules(brute_force_frequent(db, thresholds.min_support, limits), db.n_transactions, thresholds)
 
 
 Miner = Callable[[TransactionDb, float, int | None], list[FrequentItemset]]
@@ -172,7 +173,7 @@ def check_equivalence(
     # The itemset lists agree as (items, count) sets, so generate_rules gives
     # each of them the same rules: it runs once, on the baseline's.
     rules = {(r.antecedent, r.consequent) for r in generate_rules(results[baseline], db, rule_thresholds)}
-    oracle_rules = {(r.antecedent, r.consequent) for r in brute_force_rules(db, rule_thresholds, limits)}
+    oracle_rules = {(r.antecedent, r.consequent) for r in _oracle_rules(oracle, db.n_transactions, rule_thresholds)}
     diff = rules ^ oracle_rules
     if diff:
         ant, cons = sorted(diff)[0]

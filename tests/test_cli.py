@@ -158,6 +158,8 @@ BAD_INPUTS = [
     ("top-level-list", "- name: a\n", None, None, 2),
     ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", None, None, 2),
     ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", None, None, 2),
+    # Bins on a column that is not numeric_binned would leave its raw values unbinned.
+    ("bins-not-binned", "columns:\n  - name: a\n    bins: [[1, 2, x]]\n", "dir", None, 2),
     # An unknown keep column is a schema error, found before the input is opened.
     ("unknown-keep", "columns:\n  - name: a\nkeep: [a, q77]\n", "dir", None, 2),
     # A scalar where a list belongs, which would otherwise be read letter by letter.
@@ -174,6 +176,11 @@ BAD_INPUTS = [
     ("keep-twice", "columns:\n  - name: a\n  - name: b\n  - name: c\nkeep: [a, a, c]\n", "dir", None, 2),
     ("keep-drop", "columns:\n  - name: a\n  - name: b\n    kind: drop\n  - name: c\nkeep: [a, b, c]\n",
      "dir", None, 2),
+    # A consistency rule on a column that is not read would never match.
+    ("rule-unknown-column", "columns:\n  - name: a\n  - name: b\nconsistency_rules:\n  - description: x\n"
+                            "    conjuncts: {a: '1', q99: '1'}\n", "dir", None, 2),
+    ("rule-drop-column", "columns:\n  - name: a\n  - name: d\n    kind: drop\nconsistency_rules:\n"
+                         "  - description: x\n    conjuncts: {a: '1', d: '1'}\n", "dir", None, 2),
     ("input-is-directory", None, "dir", None, 1),
     ("oversized-field", None, b"a,b,c\n1,1,1\n1," + b"x" * 131_073 + b",1\n", None, 1),
     ("non-utf8", None, b"a,b,c\n1,1,1\n1,\xff,1\n", None, 1),
@@ -218,6 +225,9 @@ SCHEMA_FAULTS = {
     "conjunct-key": "a consistency rule has unknown keys ['conjunct']",
     "keep-twice": "keep columns named twice: ['a']",
     "keep-drop": "keep columns of kind drop: ['b']",
+    "bins-not-binned": "column 'a': bins need kind numeric_binned, not 'categorical'",
+    "rule-unknown-column": "consistency rule columns absent from schema: ['q99']",
+    "rule-drop-column": "consistency rule columns of kind drop: ['d']",
 }
 
 

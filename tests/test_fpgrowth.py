@@ -34,7 +34,7 @@ def test_identical_transactions_share_one_path():
 def test_cutoff_above_everything_gives_root_only():
     db = TransactionDb(((0,), (1,)), n_items=2)
     tree = build_fptree(db, 1.0)
-    assert (tree.item, tree.count, tree.parent, tree.child) == ([None], [0], [-1], {})
+    assert (tree.item, tree.count, tree.parent) == ([None], [0], [-1])
     assert tree.root.children == {}
     assert mine_fptree(tree, 1.0, db.n_transactions) == []
 
@@ -180,10 +180,8 @@ def check_projection(tree, item, min_count):
         assert all(projected.item[node] == i for node in chain)
     assert sorted(node for chain in projected.header.values() for node in chain) == list(nodes)
     assert all(projected.parent[node] < node for node in nodes)
-    stride = len(projected.item_total)
-    assert projected.child == {
-        projected.parent[node] * stride + projected.rank[projected.item[node]]: node for node in nodes
-    }
+    # What the constructors' child lookup enforces: no two nodes share a parent and an item.
+    assert len({(projected.parent[node], projected.item[node]) for node in nodes}) == len(nodes)
     return projected
 
 

@@ -278,8 +278,6 @@ def survey_files(draw):
     rules = []
     for i, r in enumerate(draw(st.lists(st.sampled_from([r for r in rows if r] or [None]), max_size=3))):
         names = draw(st.permutations(("a", "b", "age")))[:2]
-        if draw(st.integers(0, 4)) == 0:  # d is dropped and q77 absent: the rule never matches
-            names = (names[0], draw(st.sampled_from(("d", "q77"))))
         conjuncts = tuple(sorted((name, (r or {}).get(name, "x").strip()) for name in names))
         rules.append(ConsistencyRule(f"rule {i}", conjuncts))
     keep = draw(st.one_of(st.just(()), st.permutations(("a", "b", "age")).flatmap(

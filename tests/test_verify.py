@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
+from electmine import verify
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.cli import main
 from electmine.model import TransactionDb
@@ -171,12 +172,19 @@ def test_corrupted_miner_is_named(d5_db, data_dir, capsys):
     assert [row["error"] for row in json.loads(outputs["json"])["rows"]] == [None, "KeyError: 3"]
 
 
-@pytest.mark.parametrize("emptied,where", [("brute_force_rules", "apriori"), ("generate_rules", "oracle-rules")])
+@pytest.mark.parametrize("emptied,where", [("_oracle_rules", "apriori"), ("generate_rules", "oracle-rules")])
 def test_rule_divergence_is_named(d5_db, emptied, where):
     # Itemsets agree; one side's rules go missing, so the first rule is only in the other.
     with mock.patch(f"electmine.verify.{emptied}", return_value=[]):
         report = check_equivalence(d5_db, 0.03, Thresholds(0.03, 0.60, 0.0))
     assert report.detail == f"rule (0,) -> (1,) only in {where}"
+
+
+def test_check_equivalence_counts_subsets_once(d5_db):
+    # The oracle's rules come from its own itemsets, so one subset table serves both.
+    with mock.patch.object(verify, "_subset_counts", wraps=verify._subset_counts) as counts:
+        assert check_equivalence(d5_db, 0.03, Thresholds(0.03, 0.60, 0.0)).equivalent
+    assert counts.call_count == 1
 
 
 def test_random_db_is_deterministic():
