@@ -145,6 +145,25 @@ def random_db(
     return TransactionDb(transactions, n_items=n_items)
 
 
+def wide_db(seed: int, n_items: int = 300, n_transactions: int = 1000, max_len: int = 5) -> TransactionDb:
+    """Seeded random database with more items than a byte can rank.
+
+    Each transaction holds 0 to max_len distinct items, drawn without
+    replacement at skewed, shuffled rates (weight 1/sqrt(k) for the k-th),
+    so at a count cutoff of 2 most items are frequent and their totals tie
+    often. Short transactions keep every itemset countable by enumerating
+    each transaction's subsets.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.permutation(1 / np.sqrt(np.arange(1, n_items + 1)))
+    lengths = rng.integers(0, max_len + 1, size=n_transactions)
+    transactions = tuple(
+        tuple(sorted(rng.choice(n_items, size=k, replace=False, p=weights / weights.sum()).tolist()))
+        for k in lengths
+    )
+    return TransactionDb(transactions, n_items=n_items)
+
+
 @st.composite
 def small_dbs(draw):
     """0-10 items and 1-60 transactions, empty transactions included."""

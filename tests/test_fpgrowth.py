@@ -1,14 +1,18 @@
+import ast
 from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from electmine import fpgrowth
 from electmine.apriori import MinerConfig, mine_apriori
-from electmine.fpgrowth import build_fptree, mine_fpgrowth, mine_fptree
-from electmine.model import TransactionDb, support_cutoff
+from electmine.fpgrowth import _as_trie, _conditional_trees, _root_trie, build_fptree, mine_fpgrowth, mine_fptree
+from electmine.model import TransactionDb, itemset_sort_key, support_cutoff
 from electmine.verify import brute_force_frequent
 
-from conftest import random_db, small_dbs
+from conftest import random_db, small_dbs, wide_db
 
 
 def as_pairs(frequent):
@@ -67,9 +71,8 @@ def test_paths_strictly_descend_in_rank():
             assert tree.rank[tree.item[up]] < tree.rank[tree.item[node]]
 
 
-@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
-def test_flat_tree_matches_its_definition(db, min_support):
-    tree = build_fptree(db, min_support)
+def check_tree(db, min_support, tree):
+    """tree, build_fptree(db, min_support), against its definition."""
     min_count = support_cutoff(min_support, db.n_transactions)
     totals = Counter(item for t in db.transactions for item in t)
     ranked = sorted((i for i, c in totals.items() if c >= min_count), key=lambda i: (-totals[i], i))
@@ -85,23 +88,17 @@ def test_flat_tree_matches_its_definition(db, min_support):
         prefixes.update(path[:k] for k in range(1, len(path) + 1))
     nodes = range(1, len(tree.count))
     assert len(nodes) == len(prefixes)
-
-    def prefix(node):
-        path = []
-        while node:
-            path.append(tree.item[node])
-            node = tree.parent[node]
-        return tuple(reversed(path))
-
-    assert {prefix(node): tree.count[node] for node in nodes} == prefixes
+    assert {node_path(tree, node): tree.count[node] for node in nodes} == prefixes
 
     for item, chain in tree.header.items():
         assert all(tree.item[node] == item for node in chain)
+        assert chain == sorted(chain)
         assert sum(tree.count[node] for node in chain) == tree.item_total[item]
     assert sorted(node for chain in tree.header.values() for node in chain) == list(nodes)
 
     for node in nodes:
         up = tree.parent[node]
+        assert up < node
         if up:
             assert rank[tree.item[up]] < rank[tree.item[node]]
 
@@ -112,6 +109,11 @@ def test_flat_tree_matches_its_definition(db, min_support):
         walked += len(view.children)
         stack.extend(view.children.values())
     assert walked == len(nodes)
+
+
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
+def test_flat_tree_matches_its_definition(db, min_support):
+    check_tree(db, min_support, build_fptree(db, min_support))
 
 
 def test_conditional_base_reconstructs_totals():
@@ -143,9 +145,9 @@ def test_conditional_items_precede_conditioning_item():
         assert sorted(projected.item_total, key=tree.rank.__getitem__) == list(projected.item_total)
 
 
-def check_projection(tree, item, min_count):
-    """tree.project(item, min_count) against its definition, computed from
-    item's prefix paths walked up through `parent`; returns the projection."""
+def check_projection(tree, item, min_count, projected):
+    """projected, a conditional tree of item in tree, against its definition,
+    computed from item's prefix paths walked up through `parent`."""
     paths = []
     for node in tree.header[item]:
         path, up = [], tree.parent[node]
@@ -159,11 +161,11 @@ def check_projection(tree, item, min_count):
             totals[i] += weight
     kept = [i for i in tree.item_total if totals[i] >= min_count]
 
-    projected = tree.project(item, min_count)
     if not kept:
         assert projected is None
-        return None
+        return
     assert list(projected.item_total.items()) == [(i, totals[i]) for i in kept]
+    assert projected.rank == {i: r for r, i in enumerate(kept)}
 
     # One node per distinct nonempty prefix of the filtered paths, counted by
     # the weights of the paths that have that prefix.
@@ -178,11 +180,11 @@ def check_projection(tree, item, min_count):
 
     for i, chain in projected.header.items():
         assert all(projected.item[node] == i for node in chain)
+        assert chain == sorted(chain)
     assert sorted(node for chain in projected.header.values() for node in chain) == list(nodes)
     assert all(projected.parent[node] < node for node in nodes)
     # What the constructors' child lookup enforces: no two nodes share a parent and an item.
     assert len({(projected.parent[node], projected.item[node]) for node in nodes}) == len(nodes)
-    return projected
 
 
 def node_path(tree, node):
@@ -199,10 +201,63 @@ def test_projection_matches_its_definition(db, min_support):
     tree = build_fptree(db, min_support)
     min_count = support_cutoff(min_support, db.n_transactions)
     for item in tree.item_total:
-        projected = check_projection(tree, item, min_count)
+        projected = tree.project(item, min_count)
+        check_projection(tree, item, min_count, projected)
         if projected is not None:  # conditional trees are projected too
             for inner in projected.item_total:
-                check_projection(projected, inner, min_count)
+                check_projection(projected, inner, min_count, projected.project(inner, min_count))
+
+
+def check_array_projections(db, min_support, tree):
+    """Every item's array-built conditional tree, from the arrays mine_fpgrowth
+    builds and from those mine_fptree reads off tree, against its definition."""
+    min_count = support_cutoff(min_support, db.n_transactions)
+    for trie in (_root_trie(db, min_support), _as_trie(tree)):
+        built = dict(_conditional_trees(trie, min_count))
+        assert list(built) == [item for item in tree.item_total if item in built]
+        for item in tree.item_total:
+            check_projection(tree, item, min_count, built.get(item))
+
+
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
+@example(TransactionDb(((), ()), n_items=0), 0.01)  # no items
+@example(TransactionDb(((0,), (), (0,)), n_items=1), 0.1)  # one item, an empty transaction
+@example(TransactionDb(((0, 1), (1, 2), (0, 2)), n_items=3), 1.0)  # nothing frequent
+@example(TransactionDb(((0, 1, 2), (0, 1), (1, 2)), n_items=3), 0.6)
+def test_array_projections_match_their_definition(db, min_support):
+    check_array_projections(db, min_support, build_fptree(db, min_support))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_more_items_than_a_byte_ranks(seed):
+    db, min_support = wide_db(seed), 0.002
+    tree = build_fptree(db, min_support)
+    assert len(tree.item_total) > 255
+    check_tree(db, min_support, tree)
+    check_array_projections(db, min_support, tree)
+    # Every itemset counted by enumerating each transaction's subsets.
+    min_count = support_cutoff(min_support, db.n_transactions)
+    counts = Counter(s for t in db.transactions for k in range(1, len(t) + 1) for s in combinations(t, k))
+    expected = sorted(((s, c) for s, c in counts.items() if c >= min_count), key=lambda pair: itemset_sort_key(pair[0]))
+    assert as_pairs(mine_fpgrowth(db, min_support)) == expected
+    assert as_pairs(mine_fptree(tree, min_support, db.n_transactions)) == expected
+
+
+def test_independent_of_the_counting_kernel():
+    """The three-way check needs FP-Growth to count on its own route: it
+    imports no counting kernel and never packs Apriori's bit columns."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(fpgrowth.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("_kernels" in name for name in imported)
+    db = random_db(3)
+    mine_fpgrowth(db, 0.1)
+    mine_fptree(build_fptree(db, 0.1), 0.1, db.n_transactions)
+    assert "matrix" not in vars(db)
 
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]), st.sampled_from([None, 1, 2, 3]))
