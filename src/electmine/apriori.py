@@ -1,41 +1,69 @@
 """Level-wise Apriori miner with join-and-prune candidate generation.
 
-Candidate generation merges (k-1)-itemsets sharing their first k-2 items and
-prunes any candidate with an infrequent (k-1)-subset (downward closure).
-Every level, the singletons included, is counted by count_support on the
-shared counting kernel.
+Each level is an (m, k) `intp` array of item ids whose rows are in
+lexicographic order, from counting through to the next join; tuples appear
+only in the final FrequentItemset list. A level is counted by the shared
+counting kernel, and its frequent rows are kept with a boolean mask.
+Candidate generation (Agrawal & Srikant, VLDB 1994) merges (k-1)-itemsets
+sharing their first k-2 items and prunes any candidate with an infrequent
+(k-1)-subset (downward closure). The join works on the whole level at once,
+as in Borgelt's level arrays ("Efficient Implementations of Apriori and
+Eclat", FIMI 2003).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
+from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, support_cutoff
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque scalar per row, equal exactly when the rows are equal.
+    Only for membership: the keys' order is not the rows' order."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _join(level: np.ndarray) -> np.ndarray:
+    """Join-and-prune on one level: from the distinct, lexicographically
+    sorted (k-1)-itemsets of `level`, an (m, k-1) intp array with k >= 2,
+    every k-itemset whose (k-1)-subsets are all rows of `level`, as an
+    (m', k) array in lexicographic order.
+    """
+    m, width = level.shape
+    # Rows sharing their first k-2 items are consecutive; each row joins
+    # every later row of its group, which gives the candidates in order.
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = (level[1:, :-1] != level[:-1, :-1]).any(axis=1)
+    group_end = np.append(np.flatnonzero(starts)[1:], m)[np.cumsum(starts) - 1]
+    partners = group_end - np.arange(m) - 1
+    left = np.repeat(np.arange(m), partners)
+    first = np.cumsum(partners) - partners  # index of each row's first candidate
+    right = left + 1 + np.arange(len(left)) - np.repeat(first, partners)
+    candidates = np.empty((len(left), width + 1), dtype=np.intp)
+    candidates[:, :width] = level[left]
+    candidates[:, width] = level[right, -1]
+    # The subsets without the last or the next-to-last item are the two
+    # parents; look up the k-2 others among the level's keys.
+    keys = np.sort(_row_keys(level))
+    for drop in range(width - 1):
+        subsets = _row_keys(np.delete(candidates, drop, axis=1))
+        at = np.minimum(np.searchsorted(keys, subsets), m - 1)
+        candidates = candidates[keys[at] == subsets]
+    return candidates
 
 
 def generate_candidates(frequent_k_minus_1: Sequence[ItemSet], k: int) -> list[ItemSet]:
-    """Join-and-prune candidate generation for level k.
-
-    Two (k-1)-sets sharing their first k-2 items join into a k-set; any
-    candidate with a (k-1)-subset missing from the input is pruned.
-    """
+    """Join-and-prune candidate generation for level k, on tuples: `_join`
+    on the sorted, distinct (k-1)-itemsets given."""
     if k < 2:
         raise ValueError("candidate generation starts at k=2")
-    prev = sorted(frequent_k_minus_1)
-    prev_set = set(prev)
-    candidates: list[ItemSet] = []
-    for i, a in enumerate(prev):
-        for b in prev[i + 1 :]:
-            if a[: k - 2] != b[: k - 2]:
-                break  # sorted input: no later b shares the prefix either
-            candidate = a + (b[k - 2],)
-            if all(sub in prev_set for sub in combinations(candidate, k - 1)):
-                candidates.append(candidate)
-    return candidates
+    level = np.array(sorted(set(frequent_k_minus_1)), dtype=np.intp).reshape(-1, k - 1)
+    return [tuple(c) for c in _join(level).tolist()]
 
 
 def count_support(candidates: Sequence[ItemSet], db: TransactionDb) -> dict[ItemSet, int]:
@@ -58,17 +86,17 @@ def mine_apriori(db: TransactionDb, cfg: MinerConfig) -> list[FrequentItemset]:
         raise ValueError("empty transaction database")
     min_count = support_cutoff(cfg.min_support, n)
 
-    found: list[tuple[ItemSet, int]] = []
-    candidates: list[ItemSet] = [(item,) for item in range(db.n_items)]
-    k = 1
-    while candidates:
-        counts = count_support(candidates, db)
-        frequent = [c for c in candidates if counts[c] >= min_count]
-        found.extend((c, counts[c]) for c in frequent)
-        k += 1
-        if cfg.max_itemset_len is not None and k > cfg.max_itemset_len:
+    found: list[FrequentItemset] = []
+    level = np.arange(db.n_items, dtype=np.intp).reshape(-1, 1)
+    while len(level):
+        counts = _kernels.count_itemsets(db.matrix, level)
+        frequent = counts >= min_count
+        level = level[frequent]
+        found.extend(
+            FrequentItemset(tuple(items), count, count / n)
+            for items, count in zip(level.tolist(), counts[frequent].tolist())
+        )
+        if level.shape[1] == cfg.max_itemset_len:
             break
-        candidates = generate_candidates(frequent, k)
-
-    found.sort(key=lambda pair: itemset_sort_key(pair[0]))
-    return [FrequentItemset(items, count, count / n) for items, count in found]
+        level = _join(level)
+    return found
