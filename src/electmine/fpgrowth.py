@@ -1,14 +1,16 @@
 """FP-Growth miner: prefix-tree compression plus conditional-tree recursion.
 
 The prefix tree and its conditional trees are Han, Pei & Yin's (SIGMOD
-2000). The root tree and the conditional trees of its own items are built
-as numpy tries (``_trie``): the paths are left-justified rows of item
-ranks, and one column, that is one depth, at a time the distinct
-(parent, rank) pairs become that depth's nodes. Below those, each
-conditional tree is projected in Python from its parent tree's node ids
-(``FPTree.project``), without copying the item's prefix paths, and is not
-built at all when none of its items is frequent: most of those trees are
-small, where numpy's per-call cost would lose.
+2000). ``build_fptree`` returns the root tree as int32 arrays (``FPTree``),
+``mine_fptree`` mines them, and ``mine_fpgrowth`` is the two in turn. The
+root tree and the conditional trees of its own items are numpy tries
+(``_trie``): the paths are left-justified rows of item ranks, and one
+column, that is one depth, at a time the distinct (parent, rank) pairs
+become that depth's nodes. Only below the root's items is a conditional
+tree projected in Python from its parent's node ids
+(``_Conditional.project``), without copying the item's prefix paths, and
+not built at all when none of its items is frequent: most of those trees
+are small, where numpy's per-call cost would lose.
 
 Produces exactly the same itemsets, counts, and output order as the Apriori
 miner; the two are cross-checked against each other and against the
@@ -35,22 +37,48 @@ class NodeView(NamedTuple):
     children: dict[int, "NodeView"]
 
 
-class FPTree:
-    """Prefix tree with a header table of same-item node chains, held flat.
+class FPTree(NamedTuple):
+    """A prefix tree held as int32 arrays over node ids, node 0 the root.
+
+    ``items[r]`` is the item of rank r and ``totals[r]`` its total: in the
+    root tree (``build_fptree``) the frequent items by descending total,
+    ties broken by ascending item id; a conditional tree keeps its parent's
+    order over the items it kept. ``parent``, ``rank`` and ``count`` are per
+    node. Every root-to-node path lists strictly increasing ranks, and nodes
+    are numbered depth by depth, so every node's id is above its parent's.
+    The root's ``parent`` is 0 and its ``rank`` is ``len(items)``, the
+    padding rank, so a walk up stays at the root and reads no item there.
+    """
+
+    items: list[int]
+    totals: list[int]
+    parent: np.ndarray
+    rank: np.ndarray
+    count: np.ndarray
+
+    @property
+    def root(self) -> NodeView:
+        """The nodes as a nested (item, count, children-by-item) view, built
+        on each access; only the benchmark's node count reads it."""
+        item = [None, *np.array(self.items, np.int64)[self.rank[1:]].tolist()]
+        views = [NodeView(i, c, {}) for i, c in zip(item, self.count.tolist())]
+        for node, up in enumerate(self.parent[1:].tolist(), 1):
+            views[up].children[item[node]] = views[node]
+        return views[0]
+
+
+class _Conditional:
+    """A conditional tree below the root's items, held flat with a header
+    table of same-item node chains.
 
     Nodes are ids into the parallel lists ``item``, ``count`` and ``parent``;
     node 0 is the root (item None, parent -1), and ``header[item]`` lists the
     ids of the item's nodes in ascending order (the flat layout of Borgelt,
     "An Implementation of the FP-growth Algorithm", OSDM 2005). ``item_total``,
-    ``rank`` and ``header`` hold the tree's items in rank order. In the root
-    tree (``build_fptree``) that is descending total count, ties broken by
-    ascending item id; a conditional tree keeps its parent's order over the
-    items it kept. Every root-to-node path lists items in strictly increasing
-    rank, and every node's id is above its parent's: the trees built from
-    arrays number their nodes depth by depth, and ``project`` numbers them
-    in the order it meets them. ``project``'s lookup from (parent, rank) to
-    child is a local, freed once the tree is built. ``root`` is a nested view
-    for the benchmark's node count.
+    ``rank`` and ``header`` hold the tree's items in rank order. Every
+    root-to-node path lists items in strictly increasing rank, and every
+    node's id is above its parent's. ``project``'s lookup from (parent, rank)
+    to child is a local, freed once the tree is built.
     """
 
     def __init__(self, item_total: dict[int, int]):
@@ -61,7 +89,7 @@ class FPTree:
         self.parent = [-1]
         self.header: dict[int, list[int]] = {item: [] for item in item_total}
 
-    def project(self, item: int, min_count: int) -> "FPTree | None":
+    def project(self, item: int, min_count: int) -> "_Conditional | None":
         """The conditional tree of item: its prefix paths, each weighted by
         its node's count, with items below min_count dropped; None when no
         item reaches min_count.
@@ -98,7 +126,7 @@ class FPTree:
         if not kept:
             return None
 
-        tree = FPTree(kept)
+        tree = _Conditional(kept)
         rank, stride, child, header = tree.rank, len(kept), {}, tree.header
         new_item, new_count, new_parent = tree.item, tree.count, tree.parent
         # mapped[node]: the projected node of node's nearest kept ancestor-or-self
@@ -121,30 +149,6 @@ class FPTree:
                 new_count[projected] += weight[node]
             mapped[node] = projected
         return tree
-
-    @property
-    def root(self) -> NodeView:
-        """The nodes as a nested (item, count, children-by-item) view, built
-        on each access; only the benchmark's node count reads it."""
-        views = [NodeView(i, c, {}) for i, c in zip(self.item, self.count)]
-        for node in range(1, len(views)):
-            views[self.parent[node]].children[self.item[node]] = views[node]
-        return views[0]
-
-
-class _Trie(NamedTuple):
-    """A prefix tree held as int32 arrays over node ids, node 0 the root.
-
-    ``items[r]`` is the item of rank r and ``totals[r]`` its total. The
-    root's ``parent`` is 0 and its ``rank`` is ``len(items)``, the padding
-    rank, so a walk up stays at the root and reads no item there.
-    """
-
-    items: list[int]
-    totals: list[int]
-    parent: np.ndarray
-    rank: np.ndarray
-    count: np.ndarray
 
 
 def _trie(paths: np.ndarray, weights: np.ndarray, n_ranks: int) -> tuple[np.ndarray, ...]:
@@ -174,8 +178,8 @@ def _trie(paths: np.ndarray, weights: np.ndarray, n_ranks: int) -> tuple[np.ndar
     return tuple(map(np.concatenate, zip(*levels)))
 
 
-def _root_trie(db: TransactionDb, min_support: float) -> _Trie:
-    """The FP-tree of ``build_fptree``, as arrays."""
+def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
+    """FP-tree over the database, items below the count cutoff discarded."""
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
     min_count = support_cutoff(min_support, db.n_transactions)
@@ -195,47 +199,32 @@ def _root_trie(db: TransactionDb, min_support: float) -> _Trie:
         paths[rows, j] = rank_of[flat[starts[rows] + j]]
     del flat, starts
     paths.sort(axis=1)
-    return _Trie(ordered.tolist(), totals[ordered].tolist(),
-                 *_trie(paths, np.ones(db.n_transactions, np.int32), n_ranks))
+    return FPTree(ordered.tolist(), totals[ordered].tolist(),
+                  *_trie(paths, np.ones(db.n_transactions, np.int32), n_ranks))
 
 
-def _tree(trie: _Trie) -> FPTree:
-    """The list-backed FPTree of a trie, header chains in node-id order."""
-    tree = FPTree(dict(zip(trie.items, trie.totals)))
-    tree.item += np.array(trie.items, np.int64)[trie.rank[1:]].tolist()
-    tree.count += trie.count[1:].tolist()
-    tree.parent += trie.parent[1:].tolist()
-    for r, item in enumerate(trie.items):
-        tree.header[item] = np.flatnonzero(trie.rank == r).tolist()
-    return tree
+def _tree(tree: FPTree) -> _Conditional:
+    """The list-backed form of an array tree, header chains in node-id order."""
+    lists = _Conditional(dict(zip(tree.items, tree.totals)))
+    lists.item += np.array(tree.items, np.int64)[tree.rank[1:]].tolist()
+    lists.count += tree.count[1:].tolist()
+    lists.parent += tree.parent[1:].tolist()
+    for r, item in enumerate(tree.items):
+        lists.header[item] = np.flatnonzero(tree.rank == r).tolist()
+    return lists
 
 
-def _as_trie(tree: FPTree) -> _Trie:
-    """The arrays of a list-backed FPTree."""
-    parent = np.array(tree.parent, np.int32)
-    parent[0] = 0
-    rank = np.full(len(parent), len(tree.item_total), np.int32)
-    for r, nodes in enumerate(tree.header.values()):
-        rank[nodes] = r
-    return _Trie(list(tree.item_total), list(tree.item_total.values()), parent, rank,
-                 np.array(tree.count, np.int32))
-
-
-def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
-    """FP-tree over the database, items below the count cutoff discarded."""
-    return _tree(_root_trie(db, min_support))
-
-
-def _conditional_trees(trie: _Trie, min_count: int) -> Iterator[tuple[int, FPTree]]:
-    """(item, conditional tree) for each of the trie's items in rank order,
-    skipping the items that have none: ``FPTree.project`` over arrays.
+def _conditional_trees(tree: FPTree, min_count: int) -> Iterator[tuple[int, _Conditional]]:
+    """(item, conditional tree) for each of the tree's items in rank order,
+    skipping the items that have none.
 
     Each of the item's nodes gives one path: its ancestors' ranks, read one
     depth per step up to the root, weighted by the node's count. The kept
-    items keep the trie's order, and each path is re-ranked over them,
-    sorted and left-justified before ``_trie`` builds the conditional tree.
+    items keep the tree's order, and each path is re-ranked over them,
+    sorted and left-justified before ``_trie`` builds the conditional tree,
+    which ``_tree`` turns into lists for the recursion.
     """
-    items, parent, rank, count = trie.items, trie.parent, trie.rank, trie.count
+    items, parent, rank, count = tree.items, tree.parent, tree.rank, tree.count
     n_ranks = len(items)
     for r, item in enumerate(items):
         nodes = np.flatnonzero(rank == r)
@@ -255,11 +244,11 @@ def _conditional_trees(trie: _Trie, min_count: int) -> Iterator[tuple[int, FPTre
         re_rank[kept] = np.arange(len(kept), dtype=np.int32)
         paths = re_rank[paths]
         paths.sort(axis=1)
-        yield item, _tree(_Trie([items[k] for k in kept], totals[kept].astype(np.int64).tolist(),
-                                *_trie(paths, weights, len(kept))))
+        yield item, _tree(FPTree([items[k] for k in kept], totals[kept].astype(np.int64).tolist(),
+                                 *_trie(paths, weights, len(kept))))
 
 
-def _mine(tree: FPTree, suffix: ItemSet, min_count: int, max_len: int | None,
+def _mine(tree: _Conditional, suffix: ItemSet, min_count: int, max_len: int | None,
           out: list[tuple[ItemSet, int]]) -> None:
     for item, count in tree.item_total.items():
         itemset = tuple(sorted(suffix + (item,)))
@@ -271,32 +260,26 @@ def _mine(tree: FPTree, suffix: ItemSet, min_count: int, max_len: int | None,
             _mine(conditional, itemset, min_count, max_len, out)
 
 
-def _mine_trie(trie: _Trie, min_support: float, n_transactions: int,
-               max_len: int | None) -> list[FrequentItemset]:
+def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
+                max_len: int | None = None) -> list[FrequentItemset]:
+    """Recursive conditional-tree mining, normalized to the miners' ordering.
+
+    The tree's own items' conditional trees are built on its arrays, and
+    the recursion below them projects with ``_Conditional.project``. With
+    max_len, the recursion stops at itemsets of that many items. Rejects
+    the arguments the Apriori miner rejects (``MinerConfig``).
+    """
     MinerConfig(min_support, max_len)
     min_count = support_cutoff(min_support, n_transactions)
-    found = [((item,), total) for item, total in zip(trie.items, trie.totals)]
+    found = [((item,), total) for item, total in zip(tree.items, tree.totals)]
     if max_len is None or max_len > 1:
-        for item, conditional in _conditional_trees(trie, min_count):
+        for item, conditional in _conditional_trees(tree, min_count):
             _mine(conditional, (item,), min_count, max_len, found)
     found.sort(key=lambda pair: itemset_sort_key(pair[0]))
     return [FrequentItemset(items, count, count / n_transactions) for items, count in found]
 
 
-def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
-                max_len: int | None = None) -> list[FrequentItemset]:
-    """Recursive conditional-tree mining, normalized to the miners' ordering.
-
-    The tree's own items' conditional trees are built on arrays, and the
-    recursion below them projects with ``FPTree.project``. With max_len,
-    the recursion stops at itemsets of that many items. Rejects the
-    arguments the Apriori miner rejects (``MinerConfig``).
-    """
-    return _mine_trie(_as_trie(tree), min_support, n_transactions, max_len)
-
-
 def mine_fpgrowth(db: TransactionDb, min_support: float,
                   max_len: int | None = None) -> list[FrequentItemset]:
-    """``mine_fptree(build_fptree(db, min_support), ...)``, without ever
-    holding the root tree as lists."""
-    return _mine_trie(_root_trie(db, min_support), min_support, db.n_transactions, max_len)
+    """``mine_fptree`` over ``build_fptree``'s tree."""
+    return mine_fptree(build_fptree(db, min_support), min_support, db.n_transactions, max_len)

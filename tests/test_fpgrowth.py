@@ -2,13 +2,14 @@ import ast
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from electmine import fpgrowth
 from electmine.apriori import MinerConfig, mine_apriori
-from electmine.fpgrowth import _as_trie, _conditional_trees, _root_trie, build_fptree, mine_fpgrowth, mine_fptree
+from electmine.fpgrowth import _conditional_trees, _tree, build_fptree, mine_fpgrowth, mine_fptree
 from electmine.model import TransactionDb, itemset_sort_key, support_cutoff
 from electmine.verify import brute_force_frequent
 
@@ -20,7 +21,7 @@ def as_pairs(frequent):
 
 
 def test_d5_header_totals(d5_db):
-    tree = build_fptree(d5_db, 0.6)
+    tree = _tree(build_fptree(d5_db, 0.6))
     assert tree.item_total == {0: 4, 1: 4, 2: 4}
     for item, nodes in tree.header.items():
         assert sum(tree.count[n] for n in nodes) == tree.item_total[item]
@@ -28,7 +29,7 @@ def test_d5_header_totals(d5_db):
 
 def test_identical_transactions_share_one_path():
     db = TransactionDb(((0, 1),) * 4, n_items=2)
-    tree = build_fptree(db, 0.5)
+    tree = _tree(build_fptree(db, 0.5))
     # root -> 0 -> 1: one child under the root, one under it, both counted 4
     assert tree.parent == [-1, 0, 1]
     assert tree.item == [None, 0, 1]
@@ -38,7 +39,8 @@ def test_identical_transactions_share_one_path():
 def test_cutoff_above_everything_gives_root_only():
     db = TransactionDb(((0,), (1,)), n_items=2)
     tree = build_fptree(db, 1.0)
-    assert (tree.item, tree.count, tree.parent) == ([None], [0], [-1])
+    assert (tree.items, tree.totals, tree.parent.tolist(), tree.rank.tolist(), tree.count.tolist()) == (
+        [], [], [0], [0], [0])
     assert tree.root.children == {}
     assert mine_fptree(tree, 1.0, db.n_transactions) == []
 
@@ -63,7 +65,7 @@ def test_single_path_combinations():
 
 def test_paths_strictly_descend_in_rank():
     db = random_db(11)
-    tree = build_fptree(db, 0.05)
+    tree = _tree(build_fptree(db, 0.05))
     assert len(tree.count) > 1
     for node in range(1, len(tree.count)):
         up = tree.parent[node]
@@ -71,8 +73,9 @@ def test_paths_strictly_descend_in_rank():
             assert tree.rank[tree.item[up]] < tree.rank[tree.item[node]]
 
 
-def check_tree(db, min_support, tree):
-    """tree, build_fptree(db, min_support), against its definition."""
+def check_tree(db, min_support, array_tree):
+    """array_tree, build_fptree(db, min_support), against its definition."""
+    tree = _tree(array_tree)
     min_count = support_cutoff(min_support, db.n_transactions)
     totals = Counter(item for t in db.transactions for item in t)
     ranked = sorted((i for i, c in totals.items() if c >= min_count), key=lambda i: (-totals[i], i))
@@ -103,7 +106,7 @@ def check_tree(db, min_support, tree):
             assert rank[tree.item[up]] < rank[tree.item[node]]
 
     # The nested view, walked as the benchmark counts FP-tree nodes.
-    walked, stack = 0, [tree.root]
+    walked, stack = 0, [array_tree.root]
     while stack:
         view = stack.pop()
         walked += len(view.children)
@@ -118,7 +121,7 @@ def test_flat_tree_matches_its_definition(db, min_support):
 
 def test_conditional_base_reconstructs_totals():
     db = random_db(7)
-    tree = build_fptree(db, 0.05)
+    tree = _tree(build_fptree(db, 0.05))
     for item, total in tree.item_total.items():
         containing = [t for t in db.transactions if item in t]
         assert sum(tree.count[node] for node in tree.header[item]) == len(containing) == total
@@ -135,7 +138,7 @@ def test_conditional_base_reconstructs_totals():
 
 def test_conditional_items_precede_conditioning_item():
     db = random_db(5)
-    tree = build_fptree(db, 0.05)
+    tree = _tree(build_fptree(db, 0.05))
     for item in tree.item_total:
         projected = tree.project(item, 1)
         if projected is None:
@@ -198,7 +201,7 @@ def node_path(tree, node):
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
 def test_projection_matches_its_definition(db, min_support):
-    tree = build_fptree(db, min_support)
+    tree = _tree(build_fptree(db, min_support))
     min_count = support_cutoff(min_support, db.n_transactions)
     for item in tree.item_total:
         projected = tree.project(item, min_count)
@@ -209,14 +212,14 @@ def test_projection_matches_its_definition(db, min_support):
 
 
 def check_array_projections(db, min_support, tree):
-    """Every item's array-built conditional tree, from the arrays mine_fpgrowth
-    builds and from those mine_fptree reads off tree, against its definition."""
+    """Every item's conditional tree built on the arrays of tree,
+    build_fptree(db, min_support), against its definition."""
     min_count = support_cutoff(min_support, db.n_transactions)
-    for trie in (_root_trie(db, min_support), _as_trie(tree)):
-        built = dict(_conditional_trees(trie, min_count))
-        assert list(built) == [item for item in tree.item_total if item in built]
-        for item in tree.item_total:
-            check_projection(tree, item, min_count, built.get(item))
+    built = dict(_conditional_trees(tree, min_count))
+    assert list(built) == [item for item in tree.items if item in built]
+    lists = _tree(tree)
+    for item in tree.items:
+        check_projection(lists, item, min_count, built.get(item))
 
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
@@ -232,7 +235,7 @@ def test_array_projections_match_their_definition(db, min_support):
 def test_more_items_than_a_byte_ranks(seed):
     db, min_support = wide_db(seed), 0.002
     tree = build_fptree(db, min_support)
-    assert len(tree.item_total) > 255
+    assert len(tree.items) > 255
     check_tree(db, min_support, tree)
     check_array_projections(db, min_support, tree)
     # Every itemset counted by enumerating each transaction's subsets.
@@ -258,6 +261,28 @@ def test_independent_of_the_counting_kernel():
     mine_fpgrowth(db, 0.1)
     mine_fptree(build_fptree(db, 0.1), 0.1, db.n_transactions)
     assert "matrix" not in vars(db)
+
+
+def test_mine_fpgrowth_mines_the_tree_build_fptree_returns(d5_db):
+    """The benchmark times build_fptree and mine_fptree as FP-Growth's two
+    layers, so mine_fpgrowth must be exactly one call of each."""
+    built = []
+
+    def build(db, min_support):
+        built.append(build_fptree(db, min_support))
+        return built[-1]
+
+    calls = mock.Mock()
+    with mock.patch.object(fpgrowth, "build_fptree", wraps=build) as build_mock, \
+            mock.patch.object(fpgrowth, "mine_fptree", wraps=mine_fptree) as mine_mock:
+        calls.attach_mock(build_mock, "build_fptree")
+        calls.attach_mock(mine_mock, "mine_fptree")
+        result = mine_fpgrowth(d5_db, 0.6, 2)
+    assert [name for name, _, _ in calls.mock_calls] == ["build_fptree", "mine_fptree"]
+    assert build_mock.call_args == mock.call(d5_db, 0.6)
+    (tree, *rest), _ = mine_mock.call_args
+    assert tree is built[0] and rest == [0.6, d5_db.n_transactions, 2]
+    assert result == mine_fptree(build_fptree(d5_db, 0.6), 0.6, d5_db.n_transactions, 2)
 
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]), st.sampled_from([None, 1, 2, 3]))
