@@ -301,6 +301,60 @@ def test_unusable_input_is_an_error_line(tmp_path_factory, data_dir, command, ca
     assert (code, err.getvalue()[: len(expected[1])]) == expected
 
 
+cells = st.sampled_from(["1", "0", "x", "3", "8", "-1", "4.5", "na", "", " 1", "x\t", "abc"])
+bad_bins = st.sampled_from([
+    [[0, 5]], [["x", 5, "lo"]], [[5, 0, "lo"]], [[None, 5, "lo"]], "0-5", None, [],
+    [[0, 5, "lo"], [3, 8, "mid"]], [[0, 5, "lo"], [0, 5, "lo"]], {"lo": [0, 5]},
+])
+
+
+@st.composite
+def mutated_exports(draw):
+    """A CSV and a schema for columns a, b and a binned n, each mutated as
+    real exports and hand-edited schemas are."""
+    rows = [["a", "b", "n"], *draw(st.lists(st.lists(cells, min_size=3, max_size=3), max_size=8))]
+    for _ in range(draw(st.integers(0, 3))):  # stray whitespace
+        row = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, 2))
+        row[at] = draw(st.sampled_from([" ", "\t", "  "])) + row[at] + draw(st.sampled_from(["", " "]))
+    for _ in range(draw(st.integers(0, 2))):  # ragged lines, the header included
+        row = draw(st.sampled_from(rows))
+        row[:] = row[: draw(st.integers(0, 2))] if draw(st.booleans()) else [*row, draw(cells)]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = draw(st.sampled_from(["", "\ufeff"])) + newline.join(map(",".join, rows)) + draw(st.sampled_from(["", newline]))
+
+    columns = [{"name": "a"}, {"name": "b"}, {"name": "n", "kind": "numeric_binned", "bins": [[0, 5, "lo"], [6, 10, "hi"]]}]
+    schema = {"columns": columns, "keep": ["a", "b", "n"]}
+    for _ in range(draw(st.integers(0, 2))):
+        mutation = draw(st.sampled_from(["top-key", "column-key", "rule-key", "bins", "bins-on-a", "keep"]))
+        if mutation == "top-key":
+            schema[draw(st.sampled_from(["colums", "kep", "missing", "rules"]))] = ["a"]
+        elif mutation == "column-key":
+            draw(st.sampled_from(columns))[draw(st.sampled_from(["bin", "type", "missing"]))] = "x"
+        elif mutation == "rule-key":
+            schema["consistency_rules"] = [{"description": "d", "conjuncts": {"a": "1"}, "conjunct": {"b": "x"}}]
+        elif mutation == "bins":
+            columns[2]["bins"] = draw(bad_bins)
+        elif mutation == "bins-on-a":
+            columns[0]["bins"] = [[0, 5, "lo"]]
+        else:
+            schema["keep"] = draw(st.sampled_from([["a", "a"], ["z"], "a", [], None]))
+    return data.encode(), json.dumps(schema)  # JSON is YAML
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["ingest", "mine", "rules", "compare", "verify"]), export=mutated_exports())
+def test_mutated_exports_exit_with_a_defined_code(tmp_path_factory, command, export):
+    # In-process: main() returns 0, 1 or 2 and lets no exception escape.
+    data, schema = export
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "input.csv").write_bytes(data)
+    (work / "schema.yaml").write_text(schema)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main([command, "--input", str(work / "input.csv"), "--schema", str(work / "schema.yaml")])
+    assert code in (0, 1, 2)
+
+
 def test_byte_identical_reruns(data_dir, tmp_path):
     paths = []
     for i in (1, 2):

@@ -2,14 +2,16 @@ import ast
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from electmine import fpgrowth
 from electmine.apriori import MinerConfig, mine_apriori
-from electmine.fpgrowth import _conditional_trees, _tree, build_fptree, mine_fpgrowth, mine_fptree
+from electmine.fpgrowth import build_fptree, mine_fpgrowth, mine_fptree
 from electmine.model import TransactionDb, itemset_sort_key, support_cutoff
 from electmine.verify import brute_force_frequent
 
@@ -20,20 +22,160 @@ def as_pairs(frequent):
     return [(fs.items, fs.count) for fs in frequent]
 
 
+class Lists(NamedTuple):
+    """One tree's nodes as dicts, read off the arrays of an FPTree or a forest."""
+
+    item_total: dict  # the tree's items in rank order, each with its total
+    item: dict  # node -> item, every node but the root, in id order
+    count: dict
+    parent: dict
+    root: int
+
+
+def as_lists(tree):
+    """The root tree of an FPTree."""
+    nodes = range(1, len(tree.count))
+    return Lists(dict(zip(tree.items, tree.totals)), {n: tree.items[tree.rank[n]] for n in nodes},
+                 {n: int(tree.count[n]) for n in nodes}, {n: int(tree.parent[n]) for n in nodes}, 0)
+
+
+def forest_lists(tree, forest):
+    """Each tree of a forest below tree's items, keyed by its conditioning
+    items, the root item first."""
+    items, out = tree.items, {}
+    n_trees = len(forest.suffix)
+    tree_of = list(range(n_trees))  # each node's tree: the root a walk up reaches
+    for up in forest.parent[n_trees:].tolist():
+        tree_of.append(tree_of[up])
+    for t, suffix in enumerate(forest.suffix.tolist()):
+        nodes = [n for n in range(n_trees, len(tree_of)) if tree_of[n] == t]
+        out[tuple(items[r] for r in suffix)] = Lists(
+            {items[r]: int(forest.totals[t, r]) for r in np.flatnonzero(forest.totals[t]).tolist()},
+            {n: items[forest.rank[n]] for n in nodes}, {n: int(forest.count[n]) for n in nodes},
+            {n: int(forest.parent[n]) for n in nodes}, t)
+    return out
+
+
+def node_path(tree, node):
+    """The items from the root down to node."""
+    path = []
+    while node != tree.root:
+        path.append(tree.item[node])
+        node = tree.parent[node]
+    return tuple(reversed(path))
+
+
+def header(tree):
+    """Each item's nodes in id order, its header chain."""
+    chains = {item: [] for item in tree.item_total}
+    for node, item in tree.item.items():
+        chains[item].append(node)
+    return chains
+
+
+def prefix_paths(tree, chain):
+    """The prefix paths of an item's chain of nodes: the items above each
+    node from the root down, weighted by the node's count."""
+    return [(node_path(tree, tree.parent[node]), tree.count[node]) for node in chain]
+
+
+def check_definition(tree, paths, order, min_count):
+    """tree, as Lists, against its definition: the prefix tree of the
+    weighted paths, each listing items in order, over the items of order
+    whose total reaches min_count."""
+    totals: Counter = Counter()
+    for path, weight in paths:
+        for i in path:
+            totals[i] += weight
+    kept = [i for i in order if totals[i] >= min_count]
+    assert list(tree.item_total.items()) == [(i, totals[i]) for i in kept]
+    rank = {item: r for r, item in enumerate(kept)}
+
+    # One node per distinct nonempty prefix of the filtered paths, counted by
+    # the weights of the paths that have that prefix.
+    prefixes: Counter = Counter()
+    for path, weight in paths:
+        filtered = tuple(i for i in path if i in rank)
+        for k in range(1, len(filtered) + 1):
+            prefixes[filtered[:k]] += weight
+    nodes = list(tree.item)
+    assert len(nodes) == len(prefixes)
+    assert {node_path(tree, node): tree.count[node] for node in nodes} == prefixes
+
+    for item, chain in header(tree).items():
+        assert sum(tree.count[node] for node in chain) == tree.item_total[item]
+    for node in nodes:
+        up = tree.parent[node]
+        assert up < node
+        if up != tree.root:
+            assert rank[tree.item[up]] < rank[tree.item[node]]
+    # What the tries' unique keys enforce: no two nodes share a parent and an item.
+    assert len({(tree.parent[node], tree.item[node]) for node in nodes}) == len(nodes)
+
+
+def check_tree(db, min_support, array_tree):
+    """array_tree, build_fptree(db, min_support), against its definition."""
+    min_count = support_cutoff(min_support, db.n_transactions)
+    totals = Counter(item for t in db.transactions for item in t)
+    order = sorted(totals, key=lambda i: (-totals[i], i))
+    rank = {item: r for r, item in enumerate(order)}
+    paths = [(tuple(sorted(t, key=rank.__getitem__)), 1) for t in db.transactions]
+    tree = as_lists(array_tree)
+    check_definition(tree, paths, order, min_count)
+    assert array_tree.rank[0] == len(array_tree.items) and array_tree.parent[0] == 0
+
+    # The nested view, walked as the benchmark counts FP-tree nodes.
+    walked, stack = 0, [array_tree.root]
+    while stack:
+        view = stack.pop()
+        walked += len(view.children)
+        stack.extend(view.children.values())
+    assert walked == len(tree.item)
+
+
+def check_forests(tree, min_count, max_len=None):
+    """Every conditional tree the forests below tree hold at every depth,
+    against its definition: each is built from its parent tree's prefix
+    paths of its last conditioning item, and each nonempty one whose
+    itemsets are at most max_len long is built, none longer."""
+    built = {(): as_lists(tree)}
+    for forest in fpgrowth._forests(tree, min_count, max_len):
+        n_trees, pad = len(forest.suffix), int(forest.suffix[0, 0])
+        assert (forest.parent[:n_trees] == np.arange(n_trees)).all() and (forest.rank[:n_trees] == pad).all()
+        assert (forest.parent[n_trees:] < np.arange(n_trees, len(forest.rank))).all()
+        trees = forest_lists(tree, forest)
+        assert not trees.keys() & built.keys()
+        built.update(trees)
+    for suffix, conditional in built.items():
+        assert max_len is None or len(suffix) < max_len or not suffix
+        if suffix:
+            parent = built[suffix[:-1]]
+            paths = prefix_paths(parent, header(parent)[suffix[-1]])
+            check_definition(conditional, paths, list(parent.item_total), min_count)
+        if max_len is None or len(suffix) + 1 < max_len:
+            for item, chain in header(conditional).items():
+                weights: Counter = Counter()
+                for path, weight in prefix_paths(conditional, chain):
+                    weights.update(dict.fromkeys(path, weight))
+                frequent = any(w >= min_count for w in weights.values())
+                assert (suffix + (item,) in built) == frequent, (suffix, item)
+    return built
+
+
 def test_d5_header_totals(d5_db):
-    tree = _tree(build_fptree(d5_db, 0.6))
-    assert tree.item_total == {0: 4, 1: 4, 2: 4}
-    for item, nodes in tree.header.items():
-        assert sum(tree.count[n] for n in nodes) == tree.item_total[item]
+    tree = build_fptree(d5_db, 0.6)
+    assert dict(zip(tree.items, tree.totals)) == {0: 4, 1: 4, 2: 4}
+    for r, total in enumerate(tree.totals):
+        assert tree.count[tree.rank == r].sum() == total
 
 
 def test_identical_transactions_share_one_path():
     db = TransactionDb(((0, 1),) * 4, n_items=2)
-    tree = _tree(build_fptree(db, 0.5))
+    tree = build_fptree(db, 0.5)
     # root -> 0 -> 1: one child under the root, one under it, both counted 4
-    assert tree.parent == [-1, 0, 1]
-    assert tree.item == [None, 0, 1]
-    assert tree.count[1:] == [4, 4]
+    assert tree.parent.tolist() == [0, 0, 1]
+    assert [tree.items[r] for r in tree.rank[1:]] == [0, 1]
+    assert tree.count[1:].tolist() == [4, 4]
 
 
 def test_cutoff_above_everything_gives_root_only():
@@ -65,161 +207,50 @@ def test_single_path_combinations():
 
 def test_paths_strictly_descend_in_rank():
     db = random_db(11)
-    tree = _tree(build_fptree(db, 0.05))
+    tree = build_fptree(db, 0.05)
     assert len(tree.count) > 1
-    for node in range(1, len(tree.count)):
-        up = tree.parent[node]
-        if up:
-            assert tree.rank[tree.item[up]] < tree.rank[tree.item[node]]
+    up = tree.parent[1:]
+    below_root = up > 0
+    assert (tree.rank[up][below_root] < tree.rank[1:][below_root]).all()
 
 
-def check_tree(db, min_support, array_tree):
-    """array_tree, build_fptree(db, min_support), against its definition."""
-    tree = _tree(array_tree)
-    min_count = support_cutoff(min_support, db.n_transactions)
-    totals = Counter(item for t in db.transactions for item in t)
-    ranked = sorted((i for i, c in totals.items() if c >= min_count), key=lambda i: (-totals[i], i))
-    assert list(tree.item_total.items()) == [(item, totals[item]) for item in ranked]
-    rank = {item: r for r, item in enumerate(ranked)}
-    assert tree.rank == rank
-
-    # One node per distinct nonempty prefix of the rank-sorted, filtered
-    # transactions, counted by the transactions that have that prefix.
-    prefixes: Counter = Counter()
-    for t in db.transactions:
-        path = tuple(sorted((i for i in t if i in rank), key=rank.__getitem__))
-        prefixes.update(path[:k] for k in range(1, len(path) + 1))
-    nodes = range(1, len(tree.count))
-    assert len(nodes) == len(prefixes)
-    assert {node_path(tree, node): tree.count[node] for node in nodes} == prefixes
-
-    for item, chain in tree.header.items():
-        assert all(tree.item[node] == item for node in chain)
-        assert chain == sorted(chain)
-        assert sum(tree.count[node] for node in chain) == tree.item_total[item]
-    assert sorted(node for chain in tree.header.values() for node in chain) == list(nodes)
-
-    for node in nodes:
-        up = tree.parent[node]
-        assert up < node
-        if up:
-            assert rank[tree.item[up]] < rank[tree.item[node]]
-
-    # The nested view, walked as the benchmark counts FP-tree nodes.
-    walked, stack = 0, [array_tree.root]
-    while stack:
-        view = stack.pop()
-        walked += len(view.children)
-        stack.extend(view.children.values())
-    assert walked == len(nodes)
+# Row i holds items i and N + i, all totals 1: below the first depth, the
+# trie's parent * n_ranks + rank keys pass 2**31.
+KEYS_PAST_INT32 = TransactionDb(tuple((i, 40_000 + i) for i in range(40_000)), n_items=80_000)
 
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
+@example(KEYS_PAST_INT32, 1e-5)
+@settings(deadline=None)  # the example above takes about a second
 def test_flat_tree_matches_its_definition(db, min_support):
     check_tree(db, min_support, build_fptree(db, min_support))
 
 
 def test_conditional_base_reconstructs_totals():
     db = random_db(7)
-    tree = _tree(build_fptree(db, 0.05))
-    for item, total in tree.item_total.items():
+    tree = build_fptree(db, 0.05)
+    first = {suffix: lists for forest in fpgrowth._forests(tree, 1, 2)
+             for suffix, lists in forest_lists(tree, forest).items()}
+    for r, (item, total) in enumerate(zip(tree.items, tree.totals)):
         containing = [t for t in db.transactions if item in t]
-        assert sum(tree.count[node] for node in tree.header[item]) == len(containing) == total
-        # Each projected total counts the transactions holding both items.
-        projected = tree.project(item, 1)
-        earlier = [i for i in tree.item_total if tree.rank[i] < tree.rank[item]]
-        expected = {i: sum(i in t for t in containing) for i in earlier}
+        assert tree.count[tree.rank == r].sum() == len(containing) == total
+        # Each conditional total counts the transactions holding both items.
+        expected = {i: sum(i in t for t in containing) for i in tree.items[:r]}
         expected = {i: n for i, n in expected.items() if n}
-        if projected is None:
-            assert expected == {}
-        else:
-            assert projected.item_total == expected
+        assert (first[(item,)].item_total if (item,) in first else {}) == expected
 
 
 def test_conditional_items_precede_conditioning_item():
     db = random_db(5)
-    tree = _tree(build_fptree(db, 0.05))
-    for item in tree.item_total:
-        projected = tree.project(item, 1)
-        if projected is None:
-            continue
-        assert all(tree.rank[i] < tree.rank[item] for i in projected.item_total)
-        # The projection keeps the parent's item order.
-        assert sorted(projected.item_total, key=tree.rank.__getitem__) == list(projected.item_total)
-
-
-def check_projection(tree, item, min_count, projected):
-    """projected, a conditional tree of item in tree, against its definition,
-    computed from item's prefix paths walked up through `parent`."""
-    paths = []
-    for node in tree.header[item]:
-        path, up = [], tree.parent[node]
-        while up:
-            path.append(tree.item[up])
-            up = tree.parent[up]
-        paths.append((path[::-1], tree.count[node]))
-    totals: Counter = Counter()
-    for path, weight in paths:
-        for i in path:
-            totals[i] += weight
-    kept = [i for i in tree.item_total if totals[i] >= min_count]
-
-    if not kept:
-        assert projected is None
-        return
-    assert list(projected.item_total.items()) == [(i, totals[i]) for i in kept]
-    assert projected.rank == {i: r for r, i in enumerate(kept)}
-
-    # One node per distinct nonempty prefix of the filtered paths, counted by
-    # the weights of the paths that have that prefix.
-    prefixes: Counter = Counter()
-    for path, weight in paths:
-        filtered = tuple(i for i in path if i in projected.item_total)
-        for k in range(1, len(filtered) + 1):
-            prefixes[filtered[:k]] += weight
-    nodes = range(1, len(projected.count))
-    assert len(nodes) == len(prefixes)
-    assert {node_path(projected, node): projected.count[node] for node in nodes} == prefixes
-
-    for i, chain in projected.header.items():
-        assert all(projected.item[node] == i for node in chain)
-        assert chain == sorted(chain)
-    assert sorted(node for chain in projected.header.values() for node in chain) == list(nodes)
-    assert all(projected.parent[node] < node for node in nodes)
-    # What the constructors' child lookup enforces: no two nodes share a parent and an item.
-    assert len({(projected.parent[node], projected.item[node]) for node in nodes}) == len(nodes)
-
-
-def node_path(tree, node):
-    """The items from the root down to node."""
-    path = []
-    while node:
-        path.append(tree.item[node])
-        node = tree.parent[node]
-    return tuple(reversed(path))
-
-
-@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
-def test_projection_matches_its_definition(db, min_support):
-    tree = _tree(build_fptree(db, min_support))
-    min_count = support_cutoff(min_support, db.n_transactions)
-    for item in tree.item_total:
-        projected = tree.project(item, min_count)
-        check_projection(tree, item, min_count, projected)
-        if projected is not None:  # conditional trees are projected too
-            for inner in projected.item_total:
-                check_projection(projected, inner, min_count, projected.project(inner, min_count))
-
-
-def check_array_projections(db, min_support, tree):
-    """Every item's conditional tree built on the arrays of tree,
-    build_fptree(db, min_support), against its definition."""
-    min_count = support_cutoff(min_support, db.n_transactions)
-    built = dict(_conditional_trees(tree, min_count))
-    assert list(built) == [item for item in tree.items if item in built]
-    lists = _tree(tree)
-    for item in tree.items:
-        check_projection(lists, item, min_count, built.get(item))
+    tree = build_fptree(db, 0.05)
+    rank = {item: r for r, item in enumerate(tree.items)}
+    built = check_forests(tree, 1)
+    assert len(built) > len(tree.items) + 1
+    for suffix, conditional in built.items():
+        if suffix:
+            assert all(rank[i] < rank[suffix[-1]] for i in conditional.item_total)
+            # A conditional tree keeps its parent's item order.
+            assert sorted(conditional.item_total, key=rank.__getitem__) == list(conditional.item_total)
 
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]))
@@ -227,8 +258,15 @@ def check_array_projections(db, min_support, tree):
 @example(TransactionDb(((0,), (), (0,)), n_items=1), 0.1)  # one item, an empty transaction
 @example(TransactionDb(((0, 1), (1, 2), (0, 2)), n_items=3), 1.0)  # nothing frequent
 @example(TransactionDb(((0, 1, 2), (0, 1), (1, 2)), n_items=3), 0.6)
-def test_array_projections_match_their_definition(db, min_support):
-    check_array_projections(db, min_support, build_fptree(db, min_support))
+def test_projection_matches_its_definition(db, min_support):
+    check_forests(build_fptree(db, min_support), support_cutoff(min_support, db.n_transactions))
+
+
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3]), st.sampled_from([1, 2, 3]))
+@example(TransactionDb(((0, 1, 2, 3),) * 2, n_items=4), 0.5, 3)  # one path, four deep
+def test_array_projections_match_their_definition(db, min_support, max_len):
+    """Under max_len, the forests stop at the trees whose itemsets have max_len items."""
+    check_forests(build_fptree(db, min_support), support_cutoff(min_support, db.n_transactions), max_len)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -237,7 +275,7 @@ def test_more_items_than_a_byte_ranks(seed):
     tree = build_fptree(db, min_support)
     assert len(tree.items) > 255
     check_tree(db, min_support, tree)
-    check_array_projections(db, min_support, tree)
+    check_forests(tree, support_cutoff(min_support, db.n_transactions))
     # Every itemset counted by enumerating each transaction's subsets.
     min_count = support_cutoff(min_support, db.n_transactions)
     counts = Counter(s for t in db.transactions for k in range(1, len(t) + 1) for s in combinations(t, k))
