@@ -18,14 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, support_cutoff
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque scalar per row, equal exactly when the rows are equal.
-    Only for membership: the keys' order is not the rows' order."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, row_keys, support_cutoff
 
 
 def _join(level: np.ndarray) -> np.ndarray:
@@ -49,9 +42,9 @@ def _join(level: np.ndarray) -> np.ndarray:
     candidates[:, width] = level[right, -1]
     # The subsets without the last or the next-to-last item are the two
     # parents; look up the k-2 others among the level's keys.
-    keys = np.sort(_row_keys(level))
+    keys = np.sort(row_keys(level))
     for drop in range(width - 1):
-        subsets = _row_keys(np.delete(candidates, drop, axis=1))
+        subsets = row_keys(np.delete(candidates, drop, axis=1))
         at = np.minimum(np.searchsorted(keys, subsets), m - 1)
         candidates = candidates[keys[at] == subsets]
     return candidates

@@ -28,6 +28,13 @@ def attribute_of(label: str) -> str:
     return label.split("_", 1)[0]
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque scalar per row of a 2-d array, equal exactly when the rows
+    are equal. Only for membership: the keys' order is not the rows' order."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def exact(threshold: float) -> Fraction:
     """A threshold as the decimal it prints as: 0.6 is 3/5, not the binary
     float nearest to it. Raises ValueError for inf and nan."""

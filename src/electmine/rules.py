@@ -1,8 +1,11 @@
 """Association-rule generation, metrics, filtering, and categorization.
 
-Rules come from splitting frequent itemsets; support/confidence/lift are
-computed from the itemset counts (exact integer arithmetic against the
-thresholds, so boundary cases never flip on float noise).
+Rules come from splitting frequent itemsets (Agrawal & Srikant, VLDB 1994);
+support/confidence/lift are computed from the itemset counts. The itemsets
+of one length are split together as numpy arrays, each split's subset counts
+looked up for all of them at once. A float pre-test only narrows the splits:
+exact integer arithmetic against the thresholds decides, so boundary cases
+never flip on float noise.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .model import (
     FrequentItemset,
     ItemDictionary,
@@ -19,6 +24,7 @@ from .model import (
     TransactionDb,
     attribute_of,
     exact,
+    row_keys,
     support_cutoff,
 )
 
@@ -111,6 +117,41 @@ def by_lift(rules: Sequence[AssociationRule]) -> list[AssociationRule]:
     return sorted(rules, key=lambda r: (-r.lift, -r.confidence, r.antecedent, r.consequent))
 
 
+# Relative slack of the float pre-test in generate_rules: far above float64
+# rounding, so it keeps every split that passes the exact test.
+_SLACK = 1e-9
+
+
+def _count_tables(frequent: Sequence[FrequentItemset]) -> dict[int, tuple[np.ndarray, ...]]:
+    """Per itemset length k >= 1: the (m, k) intp rows, their counts and
+    their row keys, all in sorted key order."""
+    grouped: dict[int, tuple[list, list]] = {}
+    for fs in frequent:
+        rows, counts = grouped.setdefault(len(fs.items), ([], []))
+        rows.append(fs.items)
+        counts.append(fs.count)
+    tables = {}
+    for k, (rows, counts) in grouped.items():
+        if k:
+            rows = np.array(rows, dtype=np.intp)
+            keys = row_keys(rows)
+            order = np.argsort(keys)
+            tables[k] = rows[order], np.array(counts, dtype=np.int64)[order], keys[order]
+    return tables
+
+
+def _lookup(tables: dict[int, tuple[np.ndarray, ...]], rows: np.ndarray) -> np.ndarray:
+    """The count of each row of the (m, a) array `rows` among the a-itemsets."""
+    if rows.shape[1] not in tables:
+        raise ValueError("incomplete itemset lattice")
+    _, counts, keys = tables[rows.shape[1]]
+    wanted = row_keys(rows)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    if not (keys[at] == wanted).all():
+        raise ValueError("incomplete itemset lattice")
+    return counts[at]
+
+
 def generate_rules(
     frequent: Sequence[FrequentItemset], db: TransactionDb, t: Thresholds
 ) -> list[AssociationRule]:
@@ -118,27 +159,44 @@ def generate_rules(
 
     Metrics come from the itemset counts already mined; a missing subset
     count means the caller mined at a higher support than the rule threshold.
+    The k-itemsets at or above the support cutoff are split together: the
+    subsets of every row under every column pattern of one size are looked
+    up at once, with np.searchsorted over the sorted row keys of that size.
+    A float test with relative slack keeps every split that could pass,
+    and passes_thresholds alone decides on those.
     """
     n = db.n_transactions
-    counts = {fs.items: fs.count for fs in frequent}
     min_count = support_cutoff(t.min_support, n)
+    min_confidence = t.min_confidence * (1 - _SLACK)
+    min_lift = t.min_lift * (1 - _SLACK)
+    tables = _count_tables(frequent)
     out: list[AssociationRule] = []
-    for fs in frequent:
-        items = fs.items
-        k = len(items)
-        if k < 2 or fs.count < min_count:
+    for k, (rows, counts, _) in tables.items():
+        keep = counts >= min_count
+        if k < 2 or not keep.any():
             continue
-        for ant_size in range(1, k):
-            # Same-size sorted subsets come in descending order of their
-            # indicator bits, and taking complements reverses that order.
-            consequents = reversed(list(combinations(items, k - ant_size)))
-            for antecedent, consequent in zip(combinations(items, ant_size), consequents):
-                c_ant = counts.get(antecedent)
-                c_cons = counts.get(consequent)
-                if c_ant is None or c_cons is None:
-                    raise ValueError("incomplete itemset lattice")
-                if passes_thresholds(fs.count, c_ant, c_cons, n, t):
-                    out.append(rule_from_counts(antecedent, consequent, fs.count, c_ant, c_cons, n))
+        unions, c_union = rows[keep], counts[keep]
+        # The column patterns by size, each size in combinations order. The
+        # size blocks mirror each other, and taking complements reverses the
+        # order within a block, so the complement of patterns[j] is
+        # patterns[-1 - j].
+        columns = range(k)
+        patterns = [cols for size in range(1, k) for cols in combinations(columns, size)]
+        # One lookup per size: every row's subset under every pattern of it.
+        subset = np.concatenate([
+            _lookup(tables, unions[:, list(combinations(columns, size))].swapaxes(0, 1).reshape(-1, size))
+            for size in range(1, k)
+        ]).reshape(len(patterns), -1)
+        c_ant, c_cons = subset, subset[::-1]
+        # Products in float64, which cannot wrap as int64 products can.
+        could = (c_union >= c_ant * min_confidence) & (c_union * float(n) >= c_ant * (c_cons * min_lift))
+        js, at = np.nonzero(could)
+        survivors = unions[at].tolist(), c_union[at].tolist(), c_ant[js, at].tolist(), c_cons[js, at].tolist()
+        for j, union, cu, ca, cc in zip(js.tolist(), *survivors):
+            if passes_thresholds(cu, ca, cc, n, t):
+                antecedent = tuple(union[c] for c in patterns[j])
+                consequent = tuple(union[c] for c in patterns[-1 - j])
+                out.append(rule_from_counts(antecedent, consequent, cu, ca, cc, n))
     return by_lift(out)
 
 
@@ -146,21 +204,26 @@ def categorize(
     rules: Sequence[AssociationRule], dictionary: ItemDictionary, cc: CategoryConfig
 ) -> list[AssociationRule]:
     """Tag rules as equity (all items from equity attributes) and/or minority
-    (any item from the minority attribute with a non-excluded value)."""
+    (any item from the minority attribute with a non-excluded value).
+
+    Each item's flags are read once from its label: the attribute before
+    the first '_', the value after it."""
+    labels = dictionary.labels
+    equity = {item for item, label in enumerate(labels) if attribute_of(label) in cc.equity_attributes}
+    minority = {
+        item for item, label in enumerate(labels)
+        if attribute_of(label) == cc.minority_attribute
+        and label.partition("_")[2] not in cc.minority_excluded_values
+    }
     tagged = []
     for rule in rules:
+        items = rule.antecedent + rule.consequent
         tags = set(rule.tags)
-        labels = [dictionary.label_of(i) for i in rule.antecedent + rule.consequent]
-        attrs = [attribute_of(label) for label in labels]
-        if all(a in cc.equity_attributes for a in attrs):
+        if equity.issuperset(items):
             tags.add(EQUITY_TAG)
-        for label, attr in zip(labels, attrs):
-            if attr == cc.minority_attribute:
-                value = label.split("_", 1)[1]
-                if value not in cc.minority_excluded_values:
-                    tags.add(MINORITY_TAG)
-                    break
-        tagged.append(replace(rule, tags=frozenset(tags)))
+        if not minority.isdisjoint(items):
+            tags.add(MINORITY_TAG)
+        tagged.append(rule if tags == rule.tags else replace(rule, tags=frozenset(tags)))
     return tagged
 
 

@@ -1,11 +1,13 @@
 import csv
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from electmine.model import TransactionDb, encode_rows
+from electmine.model import TransactionDb, encode_rows, support_cutoff
+from electmine.rules import by_lift, passes_thresholds, rule_from_counts
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -48,6 +50,33 @@ def direct_rule_metrics(antecedent, consequent, db: TransactionDb) -> tuple[floa
     c_x, c_y, c_xy = (sum(s <= row for row in rows) for s in (x, y, x | y))
     n = len(rows)
     return c_xy / n, c_xy / c_x, (c_xy / c_x) / (c_y / n)
+
+
+def reference_rules(frequent, db: TransactionDb, t):
+    """What rules.generate_rules should give, as a plain loop: each split
+    of each itemset at or above the support cutoff, looked up in a dict of
+    counts and filtered by passes_thresholds, then put in by_lift order."""
+    n = db.n_transactions
+    counts = {fs.items: fs.count for fs in frequent}
+    min_count = support_cutoff(t.min_support, n)
+    out = []
+    for fs in frequent:
+        items = fs.items
+        k = len(items)
+        if k < 2 or fs.count < min_count:
+            continue
+        for ant_size in range(1, k):
+            # Same-size sorted subsets come in descending order of their
+            # indicator bits, and taking complements reverses that order.
+            consequents = reversed(list(combinations(items, k - ant_size)))
+            for antecedent, consequent in zip(combinations(items, ant_size), consequents):
+                c_ant = counts.get(antecedent)
+                c_cons = counts.get(consequent)
+                if c_ant is None or c_cons is None:
+                    raise ValueError("incomplete itemset lattice")
+                if passes_thresholds(fs.count, c_ant, c_cons, n, t):
+                    out.append(rule_from_counts(antecedent, consequent, fs.count, c_ant, c_cons, n))
+    return by_lift(out)
 
 
 def direct_load(schema, path) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...], tuple[dict, ...]]:

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from electmine.apriori import MinerConfig, mine_apriori
-from electmine.model import ItemDictionary, TransactionDb, encode_rows
+from electmine.model import FrequentItemset, ItemDictionary, TransactionDb, encode_rows, row_keys
 from electmine.rules import (
     AssociationRule,
     CategoryConfig,
@@ -17,7 +18,7 @@ from electmine.rules import (
     rule_record,
 )
 
-from conftest import direct_rule_metrics
+from conftest import direct_rule_metrics, reference_rules, small_dbs
 
 
 def test_thresholds_defaults():
@@ -120,6 +121,35 @@ def test_incomplete_lattice_rejected(d5_db):
         generate_rules(pairs_only, d5_db, Thresholds(0.03, 0.60, 0.0))
 
 
+def lattice(n, counts):
+    """Itemsets with the given counts over n transactions, as a miner lists them."""
+    return [FrequentItemset(items, count, count / n) for items, count in counts.items()]
+
+
+def test_lattice_missing_a_subset_rejected(d5_db):
+    frequent = [fs for fs in mine_apriori(d5_db, MinerConfig(0.2)) if fs.items != (0, 2)]
+    assert any(len(fs.items) == 3 for fs in frequent)
+    with pytest.raises(ValueError, match="incomplete itemset lattice"):
+        generate_rules(frequent, d5_db, Thresholds(0.2, 1e-9, 0.0))
+
+
+def test_lattice_missing_a_length_rejected(d5_db):
+    frequent = [fs for fs in mine_apriori(d5_db, MinerConfig(0.2)) if len(fs.items) != 2]
+    with pytest.raises(ValueError, match="incomplete itemset lattice"):
+        generate_rules(frequent, d5_db, Thresholds(0.2, 1e-9, 0.0))
+
+
+def test_lattice_missing_key_past_the_last_rejected():
+    # Item 2's key sorts past both singleton keys, so its search position is
+    # one past the end of the table.
+    keys = np.sort(row_keys(np.array([[0], [1]], dtype=np.intp)))
+    assert np.searchsorted(keys, row_keys(np.array([[2]], dtype=np.intp)))[0] == len(keys)
+    db = TransactionDb(((0, 1, 2),) * 4, n_items=3)
+    frequent = lattice(4, {(0,): 4, (1,): 4, (0, 1): 4, (0, 2): 4})
+    with pytest.raises(ValueError, match="incomplete itemset lattice"):
+        generate_rules(frequent, db, Thresholds(0.5, 1e-9, 0.0))
+
+
 def test_split_completeness(d5_db):
     # one 3-itemset yields 2^3 - 2 candidate splits when filters are off
     frequent = mine_apriori(d5_db, MinerConfig(0.2))
@@ -184,6 +214,53 @@ def test_passes_thresholds_matches_fraction_arithmetic(case):
     assert passes_thresholds(c_union, c_ant, c_cons, n, t) == expected
 
 
+@st.composite
+def rule_cases(draw):
+    """A mined lattice and thresholds at, just below or just above the
+    metrics of one of its rules, strict lift on or off."""
+    db = draw(small_dbs())
+    mine_support = draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]))
+    frequent = mine_apriori(db, MinerConfig(mine_support))
+    min_support = draw(st.sampled_from([s for s in (0.05, 0.1, 0.2, 0.25, 0.5, 0.75) if s >= mine_support]))
+    loose = reference_rules(frequent, db, Thresholds(min_support, 1e-9, 0.0))
+    confidence, lift = Fraction(3, 5), Fraction(3, 2)
+    if loose:
+        rule = draw(st.sampled_from(loose))
+        counts = {fs.items: fs.count for fs in frequent}
+        c_union = counts[tuple(sorted(rule.antecedent + rule.consequent))]
+        c_ant, c_cons, n = counts[rule.antecedent], counts[rule.consequent], db.n_transactions
+        places = draw(st.integers(0, 6))
+        confidence = min(Fraction(1), _decimal_near(draw, Fraction(c_union, c_ant), places, 1))
+        lift = _decimal_near(draw, Fraction(c_union * n, c_ant * c_cons), places, 0)
+    strict = draw(st.booleans())
+    return frequent, db, Thresholds(min_support, float(confidence), float(lift), strict_lift=strict)
+
+
+# Lift 1.4999999988 is within a relative 1e-9 of 1.5, which the float
+# pre-test admits; the exact test must still reject it.
+SURVEY_SCALE = lattice(50000, {(0,): 23389, (1,): 18503, (0, 1): 12983}), TransactionDb(((),) * 50000, n_items=2)
+# Confidence 3/5 and lift 6/5 exactly at their thresholds.
+AT_THRESHOLDS = lattice(10, {(0,): 5, (1,): 5, (0, 1): 3}), TransactionDb(((),) * 10, n_items=2)
+
+
+@settings(deadline=None)
+@given(rule_cases())
+@example((*SURVEY_SCALE, Thresholds(0.03, 0.5, 1.5)))
+@example((*AT_THRESHOLDS, Thresholds(0.03, 0.6, 1.2)))
+@example((*AT_THRESHOLDS, Thresholds(0.03, 0.6, 1.2, strict_lift=True)))
+def test_generate_rules_matches_reference_loop(case):
+    frequent, db, t = case
+    assert generate_rules(frequent, db, t) == reference_rules(frequent, db, t)
+
+
+def test_rules_at_the_exact_boundaries():
+    assert 12983 * 50000 / (23389 * 18503) > 1.5 * (1 - 1e-9)
+    assert generate_rules(*SURVEY_SCALE, Thresholds(0.03, 0.5, 1.5)) == []
+    rules = generate_rules(*AT_THRESHOLDS, Thresholds(0.03, 0.6, 1.2))
+    assert [(r.antecedent, r.consequent) for r in rules] == [((0,), (1,)), ((1,), (0,))]
+    assert generate_rules(*AT_THRESHOLDS, Thresholds(0.03, 0.6, 1.2, strict_lift=True)) == []
+
+
 def _dict(labels):
     return ItemDictionary(tuple(labels))
 
@@ -214,6 +291,32 @@ def test_categorize_excluded_race_value():
     rule = AssociationRule((0,), (1,), 0.1, 0.7, 2.0)
     (tagged,) = categorize([rule], d, CategoryConfig())
     assert "minority" not in tagged.tags
+
+
+def test_categorize_value_with_underscore():
+    # The value is everything after the first '_', and a consequent item
+    # tags the rule as well as an antecedent item does.
+    d = _dict(["race_Black_Hispanic", "q9_No"])
+    rule = AssociationRule((1,), (0,), 0.03, 0.98, 1.87)
+    (tagged,) = categorize([rule], d, CategoryConfig())
+    assert tagged.tags == {"minority"}
+    excluded = CategoryConfig(minority_excluded_values=frozenset({"Black_Hispanic"}))
+    (untagged,) = categorize([rule], d, excluded)
+    assert untagged.tags == frozenset()
+
+
+def test_categorize_keeps_existing_tags():
+    d = _dict(["income_Low", "income_High"])
+    rule = AssociationRule((0,), (1,), 0.1, 0.7, 2.0, tags=frozenset({"minority"}))
+    (tagged,) = categorize([rule], d, CategoryConfig())
+    assert tagged.tags == {"minority"}
+
+
+def test_categorize_equity_needs_every_item():
+    d = _dict(["q40_Not too confident", "q41_Not too confident", "income_Low"])
+    rule = AssociationRule((0, 1), (2,), 0.05, 0.7, 2.0)
+    (tagged,) = categorize([rule], d, CategoryConfig())
+    assert tagged.tags == frozenset()
 
 
 def test_percent_rendering():
