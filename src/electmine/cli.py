@@ -5,8 +5,10 @@ Defaults reproduce the published parameterization (support 0.03, confidence
 support 0.02. Diagnostics go to stderr, data to stdout or --output, so
 commands compose in pipelines.
 
-Exit codes: 0 success (or "equivalent" for verify), 1 data error,
-divergence or a miner that raised in compare, 2 configuration error.
+Exit codes, set in main alone: 0 success (or "equivalent" for verify); 2 a
+settings error (model.ConfigError: a bad threshold, count, tag, algorithm,
+schema or oracle limit); 1 any other ValueError (input or output that cannot
+be read, loaded or written), a divergence, or a miner that raised in compare.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 import yaml
 
 from . import ingest, verify
-from .model import FrequentItemset, ItemDictionary, TransactionDb
+from .model import ConfigError, ItemDictionary, MinerConfig, TransactionDb
 from .rules import (
     EQUITY_TAG, MINORITY_TAG, CategoryConfig, Thresholds, categorize, generate_rules, rule_record,
 )
@@ -32,14 +34,6 @@ DEFAULT_MIN_SUPPORT = 0.03
 DEFAULT_MIN_CONFIDENCE = 0.60
 DEFAULT_MIN_LIFT = 1.50
 MINORITY_PRESET_MIN_SUPPORT = 0.02
-
-
-class ConfigError(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,30 +97,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def thresholds_from(args) -> Thresholds:
     min_support = MINORITY_PRESET_MIN_SUPPORT if args.minority_preset else args.min_support
-    try:
-        return Thresholds(
-            min_support=min_support,
-            min_confidence=args.min_confidence,
-            min_lift=args.min_lift,
-            strict_lift=args.strict_lift,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Thresholds(
+        min_support=min_support,
+        min_confidence=args.min_confidence,
+        min_lift=args.min_lift,
+        strict_lift=args.strict_lift,
+    )
 
 
 def _load_pipeline(args) -> tuple[ItemDictionary, TransactionDb, ingest.CleanReport]:
     try:
         schema = ingest.load_schema(args.schema)
     except OSError as exc:
-        raise DataError(f"cannot read schema {args.schema}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read schema {args.schema}: {exc.strerror or exc}") from exc
     except (ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
         raise ConfigError(f"bad schema {args.schema}: {exc}") from exc
     try:
         dictionary, db, report = ingest.load(schema, args.input)
     except OSError as exc:
-        raise DataError(f"cannot read input {args.input}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise ValueError(f"cannot read input {args.input}: {exc.strerror or exc}") from exc
     if report.ignored_columns:
         print(
             f"warning: {len(report.ignored_columns)} header columns not in schema, ignored",
@@ -139,7 +128,7 @@ def _load_db(args) -> tuple[ItemDictionary, TransactionDb]:
     """_load_pipeline for the commands that mine, which need transactions."""
     dictionary, db, _ = _load_pipeline(args)
     if db.n_transactions == 0:
-        raise DataError(f"{args.input}: empty transaction database")
+        raise ValueError(f"{args.input}: empty transaction database")
     return dictionary, db
 
 
@@ -152,21 +141,13 @@ def _check_counts(args) -> None:
             raise ConfigError(f"{option.replace('_', '-')} must be >= 1")
 
 
-def _mine(args, db: TransactionDb, min_support: float) -> list[FrequentItemset]:
-    """Itemsets of at most --max-len items from the --algorithm miner."""
-    try:
-        return verify.MINERS[args.algorithm](db, min_support, args.max_len)
-    except ValueError as exc:  # the oracle's size limits
-        raise ConfigError(str(exc)) from exc
-
-
 def _write(args, text: str) -> None:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise DataError(f"cannot write output {args.output}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write output {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -256,12 +237,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    if not 0.0 < args.min_support <= 1.0:
-        raise ConfigError("min-support must be in (0,1]")
+    MinerConfig(args.min_support, args.max_len)
     dictionary, db = _load_db(args)
     records = [
         {"items": [dictionary.label_of(i) for i in fs.items], "count": fs.count, "support": fs.support}
-        for fs in _mine(args, db, args.min_support)
+        for fs in verify.MINERS[args.algorithm](db, args.min_support, args.max_len)
     ]
     _emit(args, records, ITEMSET_FIELDS, ITEMSET_FIELDS, _itemset_cells)
     return 0
@@ -274,7 +254,7 @@ def cmd_rules(args) -> int:
     if unknown:
         raise ConfigError(f"unknown tags {sorted(unknown)}: valid tags are {EQUITY_TAG}, {MINORITY_TAG}")
     dictionary, db = _load_db(args)
-    frequent = _mine(args, db, thresholds.min_support)
+    frequent = verify.MINERS[args.algorithm](db, thresholds.min_support, args.max_len)
     rules = categorize(generate_rules(frequent, db, thresholds), dictionary, CategoryConfig())
     rules = [r for r in rules if wanted <= r.tags]
     records = [rule_record(r, dictionary) for r in rules[: args.top]]
@@ -337,11 +317,9 @@ def cmd_verify(args) -> int:
     thresholds = thresholds_from(args)
     try:
         limits = OracleLimits(max_items=args.max_oracle_items)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError("max-oracle-items must be in 1..24") from exc
     _, db = _load_db(args)
-    if not verify.within_limits(db, limits):
-        raise ConfigError("oracle limits exceeded")
     report = verify.check_equivalence(db, thresholds.min_support, thresholds, limits)
     _write(args, report.as_text() + "\n")
     return 0 if report.equivalent else 1
@@ -362,12 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_counts(args)
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

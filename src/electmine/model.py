@@ -23,6 +23,11 @@ from . import _kernels
 ItemSet = tuple[int, ...]
 
 
+class ConfigError(ValueError):
+    """An invalid setting: a threshold, a limit or a category definition.
+    Every other ValueError is a fault in the data or an invariant."""
+
+
 def attribute_of(label: str) -> str:
     """Attribute prefix of an item label (everything before the first '_')."""
     return label.split("_", 1)[0]
@@ -122,9 +127,9 @@ class MinerConfig:
 
     def __post_init__(self):
         if not 0.0 < self.min_support <= 1.0:
-            raise ValueError("min_support must be in (0, 1]")
+            raise ConfigError("min_support must be in (0, 1]")
         if self.max_itemset_len is not None and self.max_itemset_len < 1:
-            raise ValueError("max_itemset_len must be >= 1")
+            raise ConfigError("max_itemset_len must be >= 1")
 
 
 def itemset_sort_key(items: ItemSet):

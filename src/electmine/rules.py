@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    ConfigError,
     FrequentItemset,
     ItemDictionary,
     ItemSet,
@@ -46,11 +47,11 @@ class Thresholds:
 
     def __post_init__(self):
         if not 0.0 < self.min_support <= 1.0:
-            raise ValueError("min_support must be in (0, 1]")
+            raise ConfigError("min_support must be in (0, 1]")
         if not 0.0 < self.min_confidence <= 1.0:
-            raise ValueError("min_confidence must be in (0, 1]")
+            raise ConfigError("min_confidence must be in (0, 1]")
         if not 0.0 <= self.min_lift < float("inf"):
-            raise ValueError("min_lift must be finite and >= 0")
+            raise ConfigError("min_lift must be finite and >= 0")
         object.__setattr__(self, "confidence_ratio", exact(self.min_confidence).as_integer_ratio())
         object.__setattr__(self, "lift_ratio", exact(self.min_lift).as_integer_ratio())
 
@@ -79,9 +80,9 @@ class CategoryConfig:
 
     def __post_init__(self):
         if not self.equity_attributes:
-            raise ValueError("equity_attributes must be nonempty")
+            raise ConfigError("equity_attributes must be nonempty")
         if not self.minority_attribute:
-            raise ValueError("minority_attribute must be nonempty")
+            raise ConfigError("minority_attribute must be nonempty")
 
 
 def passes_thresholds(c_union: int, c_ant: int, c_cons: int, n: int, t: Thresholds) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .apriori import mine_apriori
 from .fpgrowth import mine_fpgrowth
-from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
+from .model import ConfigError, FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
 from .rules import AssociationRule, Thresholds, by_lift, generate_rules, passes_thresholds, rule_from_counts
 
 
@@ -28,7 +28,7 @@ class OracleLimits:
 
     def __post_init__(self):
         if not 1 <= self.max_items <= 24:
-            raise ValueError("max_items must be in 1..24 (subset enumeration)")
+            raise ConfigError("max_items must be in 1..24 (subset enumeration)")
 
 
 def within_limits(db: TransactionDb, limits: OracleLimits) -> bool:
@@ -46,7 +46,7 @@ def _subset_counts(db: TransactionDb, limits: OracleLimits) -> np.ndarray:
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
     if not within_limits(db, limits):
-        raise ValueError("oracle limits exceeded")
+        raise ConfigError("oracle limits exceeded")
     masks = np.fromiter(
         (sum(1 << item for item in t) for t in db.transactions), np.int64, db.n_transactions
     )
@@ -117,7 +117,7 @@ def _oracle(db: TransactionDb, min_support: float, max_len: int | None) -> list[
 
 # Every route to the frequent itemsets, by CLI name: (db, min_support,
 # max_len) -> itemsets of at most max_len items (None: no bound). Each raises
-# the same ValueError for a min_support outside (0, 1] or a max_len below 1.
+# the same ConfigError for a min_support outside (0, 1] or a max_len below 1.
 MINERS: dict[str, Miner] = {
     "apriori": lambda db, min_support, max_len: mine_apriori(db, MinerConfig(min_support, max_len)),
     "fpgrowth": mine_fpgrowth,
@@ -155,7 +155,7 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Run apriori, fpgrowth and the oracle; report the first divergence in
     itemsets or generated rules, or "equivalent". A db over the oracle's
-    limits is a ValueError, raised before any miner runs."""
+    limits is a ConfigError, raised before any miner runs."""
     if miners is None:
         miners = {name: MINERS[name] for name in MINER_PAIR}
     rule_thresholds = replace(thresholds, min_support=max(thresholds.min_support, min_support))

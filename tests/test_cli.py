@@ -64,7 +64,7 @@ def test_mine_missing_input(data_dir, capsys):
 def test_mine_bad_min_support(data_dir, capsys):
     code = main(["mine", *d5_args(data_dir), "--min-support", "1.5"])
     assert code == 2
-    assert "min-support must be in (0,1]" in capsys.readouterr().err
+    assert "min_support must be in (0, 1]" in capsys.readouterr().err
 
 
 def test_mine_all_algorithms_agree(data_dir, capsys):
@@ -426,6 +426,29 @@ def test_max_oracle_items_out_of_range(data_dir, capsys, value, message):
     captured = capsys.readouterr()
     assert f"max-oracle-items {message}" in captured.err
     assert captured.out == ""
+
+
+SUPPORT_FAULT = "min_support must be in (0, 1]"
+THRESHOLD_FAULTS = [
+    *((["--min-support", v], SUPPORT_FAULT) for v in ("0", "1.5", "nan")),
+    *((["--min-confidence", v], "min_confidence must be in (0, 1]") for v in ("0", "1.5")),
+    *((["--min-lift", v], "min_lift must be finite and >= 0") for v in ("-1", "nan", "inf")),
+]
+SETTING_FAULTS = [
+    *((command, flags, message) for command in ("rules", "compare", "verify")
+      for flags, message in THRESHOLD_FAULTS),
+    *(("mine", ["--min-support", v], SUPPORT_FAULT) for v in ("0", "1.5", "nan")),
+    ("verify", ["--max-oracle-items", "25"], "max-oracle-items must be in 1..24"),
+]
+
+
+@pytest.mark.parametrize("command,flags,message", SETTING_FAULTS,
+                         ids=[f"{c}{''.join(f)}" for c, f, _ in SETTING_FAULTS])
+def test_setting_fault_exits_2_before_the_input_is_read(data_dir, tmp_path, capsys, command, flags, message):
+    # Exit 2, not 1 for the missing file: the setting is checked first.
+    missing = ["--input", str(tmp_path / "no-such-file.csv"), "--schema", str(data_dir / "d5.yaml")]
+    assert main([command, *missing, *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_verify_beyond_oracle_limits(data_dir, capsys):

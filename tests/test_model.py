@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electmine import cli
 from electmine.fpgrowth import mine_fpgrowth
 from electmine.model import (
+    ConfigError,
     ItemDictionary,
+    MinerConfig,
     TransactionDb,
     attribute_of,
     encode_rows,
     support_cutoff,
 )
-from electmine.verify import brute_force_frequent
+from electmine.rules import CategoryConfig, Thresholds
+from electmine.verify import OracleLimits, brute_force_frequent
 
 from conftest import D5_ROWS
 
@@ -73,6 +77,26 @@ def test_transaction_validation():
         TransactionDb(((2, 1),), n_items=3)
     with pytest.raises(ValueError):
         TransactionDb(((0, 5),), n_items=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MinerConfig(0.0),
+    lambda: MinerConfig(0.5, 0),
+    lambda: Thresholds(min_support=float("nan")),
+    lambda: Thresholds(min_confidence=1.5),
+    lambda: Thresholds(min_lift=float("inf")),
+    lambda: OracleLimits(max_items=25),
+    lambda: CategoryConfig(equity_attributes=frozenset()),
+    lambda: CategoryConfig(minority_attribute=""),
+    # the oracle's 2^n limit, which only the data can exceed
+    lambda: brute_force_frequent(TransactionDb(((0, 1, 2),), n_items=3), 0.5, OracleLimits(max_items=2)),
+], ids=["support", "max-len", "rule-support", "confidence", "lift", "oracle-items",
+        "equity", "minority", "oracle-limit"])
+def test_settings_raise_config_error(make):
+    # ConfigError is the one class the CLI maps to exit 2.
+    assert cli.ConfigError is ConfigError and issubclass(ConfigError, ValueError)
+    with pytest.raises(ConfigError):
+        make()
 
 
 @pytest.mark.parametrize("miner", [mine_fpgrowth, brute_force_frequent])

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from electmine import verify
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.cli import main
-from electmine.model import TransactionDb
+from electmine.model import FrequentItemset, TransactionDb, support_cutoff
 from electmine.rules import Thresholds, generate_rules
 from electmine.verify import (
     MINERS,
@@ -142,6 +142,29 @@ def test_check_equivalence_random(seed):
     db = random_db(seed)
     report = check_equivalence(db, 0.1, Thresholds(min_support=0.1))
     assert report.equivalent, report.detail
+
+
+@pytest.mark.parametrize("seed", range(2, 6))  # seeds with multi-item unions under every rule cutoff
+@pytest.mark.parametrize("mining_support,rule_support", [(0.05, 0.2), (0.1, 0.3), (0.02, 0.5)])
+def test_check_equivalence_rule_support_above_mining_support(seed, mining_support, rule_support):
+    # The rules come from itemsets mined below the rule cutoff, so the
+    # oracle's rule walk skips the unions under it.
+    db = random_db(seed)
+    t = Thresholds(rule_support, 0.5, 1.0)
+    frequent = mine_apriori(db, MinerConfig(mining_support))
+    cutoff = support_cutoff(rule_support, db.n_transactions)
+    assert any(len(fs.items) > 1 and fs.count < cutoff for fs in frequent)  # the skip fires
+    assert check_equivalence(db, mining_support, t).as_text() == "equivalent"
+    assert generate_rules(frequent, db, t) == brute_force_rules(db, t)
+
+
+def test_extra_baseline_itemset_is_named(d5_db):
+    # The baseline holds an itemset the next list lacks: the first branch of the comparison.
+    def padded(db, min_support, max_len):
+        return [*MINERS["apriori"](db, min_support, max_len), FrequentItemset((0, 1, 2), 1, 0.2)]
+
+    report = check_equivalence(d5_db, 0.6, Thresholds(), miners={"padded": padded, "apriori": MINERS["apriori"]})
+    assert report.as_text() == "divergent: itemset (0, 1, 2) (count 1) in padded but not apriori"
 
 
 def test_corrupted_miner_is_named(d5_db, data_dir, capsys):
