@@ -1,25 +1,24 @@
 """FP-Growth miner: prefix-tree compression plus conditional-tree recursion.
 
 The prefix tree and its conditional trees are Han, Pei & Yin's (SIGMOD
-2000). ``build_fptree`` returns the root tree as int32 arrays (``FPTree``),
-``mine_fptree`` mines them, and ``mine_fpgrowth`` is the two in turn. Every
-tree, the root tree and each conditional tree at every depth, is built by
-one numpy trie (``_trie``): the paths are left-justified rows of item
-ranks, and one column, that is one depth, at a time the distinct (parent,
-rank) pairs become that depth's nodes.
+2000), held as int32 arrays in forests (``FPTree``); the root tree is the
+one-tree forest of the empty suffix. ``build_fptree`` returns it,
+``mine_fptree`` mines it, and ``mine_fpgrowth`` is the two in turn. Every
+tree is built by one numpy trie (``_trie``): the paths are left-justified
+rows of item ranks, and one column, that is one depth, at a time the
+distinct (parent, rank) pairs become that depth's nodes.
 
-The recursion runs breadth-first within each root item. A forest
-(``_Forest``) holds every conditional tree of one search depth below one
-root item as flat arrays, and one step (``_project``) builds the next
-depth's forest from all of them at once: it walks every node up one depth
-per numpy call, totals the weighted ranks it meets per (new tree, rank)
-with ``bincount``, drops the ranks below the cutoff, left-justifies the
-paths with a sort and hands them to ``_trie`` with one root per new tree.
-Batching a depth's trees pays for numpy's per-call cost on the thousands of
-small deep trees. One root item at a time keeps memory bounded: at 50k
-survey rows, a prototype's traced allocation peaked at 221 MB with one
-forest per depth across all root items, and at 13.5 MB one root item at a
-time.
+The recursion runs breadth-first within each root item. One forest holds
+every conditional tree of one search depth below one root item, and one step
+(``_project``) builds the next depth's forest from all of them at once: it
+walks every node up one depth per numpy call, totals the weighted ranks it
+meets per (new tree, rank) with ``bincount``, drops the ranks below the
+cutoff, left-justifies the paths with a sort and hands them to ``_trie``
+with one root per new tree. Batching a depth's trees pays for numpy's
+per-call cost on the thousands of small deep trees. One root item at a time
+keeps memory bounded: at 50k survey rows, a prototype's traced allocation
+peaked at 221 MB with one forest per depth across all root items, and at
+13.5 MB one root item at a time.
 
 Produces exactly the same itemsets, counts, and output order as the Apriori
 miner; the two are cross-checked against each other and against the
@@ -47,52 +46,38 @@ class NodeView(NamedTuple):
 
 
 class FPTree(NamedTuple):
-    """A prefix tree held as int32 arrays over node ids, node 0 the root.
+    """A forest of prefix trees held as int32 arrays over node ids.
 
-    ``items[r]`` is the item of rank r and ``totals[r]`` its total: the
-    frequent items by descending total, ties broken by ascending item id.
-    ``parent``, ``rank`` and ``count`` are per node. Every root-to-node path
-    lists strictly increasing ranks, and nodes are numbered depth by depth,
-    so every node's id is above its parent's. The root's ``parent`` is 0 and
-    its ``rank`` is ``len(items)``, the padding rank, so a walk up stays at
-    the root and reads no item there.
+    Tree t is the conditional tree of the itemset of ranks ``suffix[t]``,
+    the root item first; ``build_fptree``'s root tree is the one-tree forest
+    of the empty suffix. ``items[r]`` is the item of rank r: the frequent
+    items by descending total, ties broken by ascending item id, in every
+    tree, so each keeps its parent's item order. ``totals[t, r]`` is the
+    total of tree t's item of rank r, 0 for the ranks it does not hold.
+    ``parent``, ``rank`` and ``count`` are per node: node t is tree t's
+    root, its own parent, with the padding rank ``totals.shape[1]``
+    (``len(items)`` in the root tree, the root item's rank below it), so a
+    walk up stays at the root and reads no item there. Every other node's id
+    is above its parent's, and every root-to-node path lists strictly
+    increasing ranks.
     """
 
     items: list[int]
-    totals: list[int]
+    suffix: np.ndarray
+    totals: np.ndarray
     parent: np.ndarray
     rank: np.ndarray
     count: np.ndarray
 
     @property
     def root(self) -> NodeView:
-        """The nodes as a nested (item, count, children-by-item) view, built
-        on each access; the benchmark's node count and the tests walk it."""
+        """A one-tree forest as a nested (item, count, children-by-item) view,
+        built on each access; the benchmark's node count and the tests walk it."""
         item = [None, *np.array(self.items, np.int64)[self.rank[1:]].tolist()]
         views = [NodeView(i, c, {}) for i, c in zip(item, self.count.tolist())]
         for node, up in enumerate(self.parent[1:].tolist(), 1):
             views[up].children[item[node]] = views[node]
         return views[0]
-
-
-class _Forest(NamedTuple):
-    """Every conditional tree of one search depth below one root item.
-
-    Tree t is the conditional tree of the itemset of root-tree ranks
-    ``suffix[t]``, the root item first; ``totals[t, r]`` is the total of its
-    item of root rank r, 0 for the ranks it does not hold. Ranks stay the
-    root tree's, so every tree keeps its parent's item order, and the
-    padding rank is the root item's. ``parent``, ``rank`` and ``count`` are
-    per node, as in ``FPTree``: node t is tree t's root, its own parent, and
-    every other node's id is above its parent's. A node's tree is the root
-    a walk up from it reaches.
-    """
-
-    suffix: np.ndarray
-    totals: np.ndarray
-    parent: np.ndarray
-    rank: np.ndarray
-    count: np.ndarray
 
 
 def _trie(paths: np.ndarray, weights: np.ndarray, n_ranks: int, tree: np.ndarray,
@@ -147,21 +132,22 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
         paths[rows, j] = rank_of[flat[starts[rows] + j]]
     del flat, starts
     paths.sort(axis=1)
-    return FPTree(ordered.tolist(), totals[ordered].tolist(),
+    return FPTree(ordered.tolist(), np.zeros((1, 0), np.int64), totals[None, ordered],
                   *_trie(paths, np.ones(db.n_transactions, np.int32), n_ranks,
                          np.zeros(db.n_transactions, np.int32), 1))
 
 
-def _project(tree: FPTree | _Forest, n_roots: int, nodes: np.ndarray, pair: np.ndarray,
-             suffix: np.ndarray, pad: int, min_count: int) -> _Forest:
+def _project(tree: FPTree, nodes: np.ndarray, pair: np.ndarray, suffix: np.ndarray,
+             min_count: int) -> FPTree:
     """The forest of the conditional trees of suffix's itemsets: the prefix
-    paths of nodes, nodes of tree whose roots are its first n_roots nodes,
-    each weighted by its node's count, a node of rank r in tree t bound for
-    new tree pair[t, r].
+    paths of nodes, nodes of tree's trees, each weighted by its node's
+    count, a node of rank r in tree t bound for new tree pair[t, r].
 
-    Every rank on those paths is below pad. A new tree keeps the ranks whose
-    total reaches min_count, and a tree that keeps none is left out.
+    Every rank on those paths is below the root item's, ``suffix[0, 0]``,
+    the new forest's padding rank. A new tree keeps the ranks whose total
+    reaches min_count, and a tree that keeps none is left out.
     """
+    n_roots, pad = len(tree.suffix), int(suffix[0, 0])
     weights = tree.count[nodes]
     # One depth up per step; a row leaves the walk at its tree's root.
     root = np.empty(len(nodes), np.int32)
@@ -192,18 +178,19 @@ def _project(tree: FPTree | _Forest, n_roots: int, nodes: np.ndarray, pair: np.n
     # Rows of a tree left out keep no rank, so _trie never reads their tree.
     has_items = kept.any(axis=1)
     renumbered = np.cumsum(has_items) - 1
-    return _Forest(suffix[has_items], totals[has_items],
-                   *_trie(paths, weights, pad, renumbered[new_tree], int(has_items.sum())))
+    return FPTree(tree.items, suffix[has_items], totals[has_items],
+                  *_trie(paths, weights, pad, renumbered[new_tree], int(has_items.sum())))
 
 
-def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[_Forest]:
-    """The nonempty forests below each of tree's items, in rank order and
-    depth by depth, down to the one whose itemsets have max_len items."""
+def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTree]:
+    """tree, then each nonempty forest below its items in rank order, depth
+    by depth, down to the one whose itemsets have max_len items."""
+    yield tree
     if max_len == 1:
         return
     for r in range(len(tree.items)):
         nodes = np.flatnonzero(tree.rank == r)
-        forest = _project(tree, 1, nodes, np.zeros((1, r + 1), np.int32), np.array([[r]]), r, min_count)
+        forest = _project(tree, nodes, np.zeros((1, r + 1), np.int32), np.array([[r]]), min_count)
         while len(forest.suffix):
             yield forest
             if forest.suffix.shape[1] + 1 == max_len:
@@ -212,8 +199,8 @@ def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[_For
             kept = forest.totals > 0
             t, k = np.nonzero(kept)
             pair = np.cumsum(kept).reshape(kept.shape) - 1
-            forest = _project(forest, len(forest.suffix), np.arange(len(forest.suffix), len(forest.rank)), pair,
-                              np.column_stack([forest.suffix[t], k]), r, min_count)
+            forest = _project(forest, np.arange(len(forest.suffix), len(forest.rank)), pair,
+                              np.column_stack([forest.suffix[t], k]), min_count)
 
 
 def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
@@ -221,14 +208,14 @@ def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
     """Conditional-tree mining, normalized to the miners' ordering.
 
     Each forest's trees give the itemsets one item longer than their
-    suffixes: a suffix plus each item the tree holds, counted by its total.
-    With max_len, the search stops at itemsets of that many items. Rejects
-    the arguments the Apriori miner rejects (``MinerConfig``).
+    suffixes, the root tree's the single items: a suffix plus each item the
+    tree holds, counted by its total. With max_len, the search stops at
+    itemsets of that many items. Rejects the arguments the Apriori miner
+    rejects (``MinerConfig``).
     """
     MinerConfig(min_support, max_len)
     min_count = support_cutoff(min_support, n_transactions)
-    found = [((item,), total) for item, total in zip(tree.items, tree.totals)]
-    item_of = np.array(tree.items, np.int64)
+    found, item_of = [], np.array(tree.items, np.int64)
     for forest in _forests(tree, min_count, max_len):
         t, k = np.nonzero(forest.totals)
         itemsets = np.sort(item_of[np.column_stack([forest.suffix[t], k])], axis=1)

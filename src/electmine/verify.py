@@ -31,11 +31,6 @@ class OracleLimits:
             raise ConfigError("max_items must be in 1..24 (subset enumeration)")
 
 
-def within_limits(db: TransactionDb, limits: OracleLimits) -> bool:
-    """Whether the oracle may enumerate the subsets of db."""
-    return db.n_items <= limits.max_items
-
-
 def _subset_counts(db: TransactionDb, limits: OracleLimits) -> np.ndarray:
     """counts[mask] = transactions containing every item of the bitmask.
 
@@ -45,8 +40,8 @@ def _subset_counts(db: TransactionDb, limits: OracleLimits) -> np.ndarray:
     """
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
-    if not within_limits(db, limits):
-        raise ConfigError("oracle limits exceeded")
+    if db.n_items > limits.max_items:
+        raise ConfigError(f"oracle limits exceeded: {db.n_items} items, limit {limits.max_items}")
     masks = np.fromiter(
         (sum(1 << item for item in t) for t in db.transactions), np.int64, db.n_transactions
     )

@@ -365,6 +365,71 @@ def test_byte_identical_reruns(data_dir, tmp_path):
     assert paths[0] == paths[1]
 
 
+HASH_SEED_SCHEMA = """\
+missing_tokens: ["", "na"]
+columns:
+  - name: race
+  - name: q4
+  - name: q39
+  - name: age
+    kind: numeric_binned
+    bins: [[18, 29, "18-29"], [30, 44, "30-44"], [45, 64, "45-64"], [65, 120, "65+"]]
+consistency_rules:
+  - description: "mail voter unsure of the count"
+    conjuncts: {q4: "Voted by mail (or absentee)", q39: "Not too confident"}
+"""
+
+# One child per PYTHONHASHSEED: every command's exit code, stdout and stderr,
+# compare's timings dropped.
+HASH_SEED_CHILD = """\
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from electmine.cli import main
+
+THRESHOLDS = ("--min-support", "0.05", "--min-confidence", "0.3", "--min-lift", "0")
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--input", sys.argv[1], "--schema", sys.argv[2]])
+    return code, out.getvalue(), err.getvalue()
+
+found = [run("rules", "--format", "json", "--algorithm", algorithm, *THRESHOLDS)
+         for algorithm in ("apriori", "fpgrowth")]
+code, out, err = run("compare", "--format", "json", *THRESHOLDS)
+table = json.loads(out)
+for row in table["rows"]:
+    del row["wall_seconds"]
+found += [(code, table, err), run("ingest", "--report"), run("verify", *THRESHOLDS)]
+print(json.dumps(found))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    races = ["White", "Black", "Hispanic", "Asian"]
+    methods = ["In person on Election Day", "Voted by mail (or absentee)", "In person before Election Day"]
+    trust = ["Very confident", "Somewhat confident", "Not too confident", "na"]
+    lines = ["race,q4,q39,age,comment"]
+    for i in range(120):  # answers that lean on each other, so rules pass
+        race, method = races[i * 7 % 11 % 4], i // 5 % 3
+        answer, age = trust[(i % 3 + races.index(race)) % 4], 18 + (i * 13 + 20 * method) % 70
+        lines.append(f"{race},{methods[method]},{answer},{age},x")
+    (tmp_path / "survey.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "survey.yaml").write_text(HASH_SEED_SCHEMA)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), PYTHONHASHSEED=seed)
+        child = subprocess.run([sys.executable, "-c", HASH_SEED_CHILD, str(tmp_path / "survey.csv"),
+                                str(tmp_path / "survey.yaml")], capture_output=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr.decode()
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    (_, rules, _), _, (_, compare, _), (_, _, report), (verdict, equivalent, _) = json.loads(outputs[0])
+    assert len(rules.splitlines()) > 50 and '"equity"' in rules and '"minority"' in rules
+    assert compare["rows"][0]["error"] is None
+    assert "ignored" in report and (verdict, equivalent) == (0, "equivalent\n")
+
+
 def test_output_file(data_dir, tmp_path, capsys):
     out = tmp_path / "itemsets.csv"
     assert main(["mine", *d5_args(data_dir), "--min-support", "0.6",
@@ -453,7 +518,7 @@ def test_setting_fault_exits_2_before_the_input_is_read(data_dir, tmp_path, caps
 
 def test_verify_beyond_oracle_limits(data_dir, capsys):
     assert main(["verify", *d5_args(data_dir), "--max-oracle-items", "2"]) == 2
-    assert "oracle limits exceeded" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: oracle limits exceeded: 3 items, limit 2\n"
 
 
 def test_mine_oracle_beyond_limits(tmp_path, capsys):
@@ -462,4 +527,4 @@ def test_mine_oracle_beyond_limits(tmp_path, capsys):
     (tmp_path / "wide.yaml").write_text("columns:\n" + "".join(f"  - name: {n}\n" for n in names))
     assert main(["mine", "--input", str(tmp_path / "wide.csv"), "--schema", str(tmp_path / "wide.yaml"),
                  "--algorithm", "oracle"]) == 2
-    assert "oracle limits exceeded" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: oracle limits exceeded: 21 items, limit 20\n"

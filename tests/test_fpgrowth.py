@@ -23,7 +23,7 @@ def as_pairs(frequent):
 
 
 class Lists(NamedTuple):
-    """One tree's nodes as dicts, read off the arrays of an FPTree or a forest."""
+    """One tree's nodes as dicts, read off the arrays of a forest."""
 
     item_total: dict  # the tree's items in rank order, each with its total
     item: dict  # node -> item, every node but the root, in id order
@@ -32,16 +32,10 @@ class Lists(NamedTuple):
     root: int
 
 
-def as_lists(tree):
-    """The root tree of an FPTree."""
-    nodes = range(1, len(tree.count))
-    return Lists(dict(zip(tree.items, tree.totals)), {n: tree.items[tree.rank[n]] for n in nodes},
-                 {n: int(tree.count[n]) for n in nodes}, {n: int(tree.parent[n]) for n in nodes}, 0)
-
-
 def forest_lists(tree, forest):
     """Each tree of a forest below tree's items, keyed by its conditioning
-    items, the root item first."""
+    items, the root item first; the root tree, the forest of the empty
+    suffix, is forest_lists(tree, tree)[()]."""
     items, out = tree.items, {}
     n_trees = len(forest.suffix)
     tree_of = list(range(n_trees))  # each node's tree: the root a walk up reaches
@@ -120,9 +114,10 @@ def check_tree(db, min_support, array_tree):
     order = sorted(totals, key=lambda i: (-totals[i], i))
     rank = {item: r for r, item in enumerate(order)}
     paths = [(tuple(sorted(t, key=rank.__getitem__)), 1) for t in db.transactions]
-    tree = as_lists(array_tree)
+    tree = forest_lists(array_tree, array_tree)[()]
     check_definition(tree, paths, order, min_count)
     assert array_tree.rank[0] == len(array_tree.items) and array_tree.parent[0] == 0
+    assert array_tree.suffix.shape == (1, 0) and array_tree.totals.shape == (1, len(array_tree.items))
 
     # The nested view, walked as the benchmark counts FP-tree nodes.
     walked, stack = 0, [array_tree.root]
@@ -137,10 +132,13 @@ def check_forests(tree, min_count, max_len=None):
     """Every conditional tree the forests below tree hold at every depth,
     against its definition: each is built from its parent tree's prefix
     paths of its last conditioning item, and each nonempty one whose
-    itemsets are at most max_len long is built, none longer."""
-    built = {(): as_lists(tree)}
+    itemsets are at most max_len long is built, none longer. The first
+    forest is tree itself, the root tree."""
+    built = {}
     for forest in fpgrowth._forests(tree, min_count, max_len):
-        n_trees, pad = len(forest.suffix), int(forest.suffix[0, 0])
+        assert built or forest is tree
+        n_trees, pad = len(forest.suffix), forest.totals.shape[1]
+        assert pad == (int(forest.suffix[0, 0]) if built else len(tree.items))
         assert (forest.parent[:n_trees] == np.arange(n_trees)).all() and (forest.rank[:n_trees] == pad).all()
         assert (forest.parent[n_trees:] < np.arange(n_trees, len(forest.rank))).all()
         trees = forest_lists(tree, forest)
@@ -164,8 +162,8 @@ def check_forests(tree, min_count, max_len=None):
 
 def test_d5_header_totals(d5_db):
     tree = build_fptree(d5_db, 0.6)
-    assert dict(zip(tree.items, tree.totals)) == {0: 4, 1: 4, 2: 4}
-    for r, total in enumerate(tree.totals):
+    assert dict(zip(tree.items, tree.totals[0])) == {0: 4, 1: 4, 2: 4}
+    for r, total in enumerate(tree.totals[0]):
         assert tree.count[tree.rank == r].sum() == total
 
 
@@ -181,8 +179,8 @@ def test_identical_transactions_share_one_path():
 def test_cutoff_above_everything_gives_root_only():
     db = TransactionDb(((0,), (1,)), n_items=2)
     tree = build_fptree(db, 1.0)
-    assert (tree.items, tree.totals, tree.parent.tolist(), tree.rank.tolist(), tree.count.tolist()) == (
-        [], [], [0], [0], [0])
+    assert (tree.items, tree.totals.tolist(), tree.parent.tolist(), tree.rank.tolist(), tree.count.tolist()) == (
+        [], [[]], [0], [0], [0])
     assert tree.root.children == {}
     assert mine_fptree(tree, 1.0, db.n_transactions) == []
 
@@ -231,7 +229,7 @@ def test_conditional_base_reconstructs_totals():
     tree = build_fptree(db, 0.05)
     first = {suffix: lists for forest in fpgrowth._forests(tree, 1, 2)
              for suffix, lists in forest_lists(tree, forest).items()}
-    for r, (item, total) in enumerate(zip(tree.items, tree.totals)):
+    for r, (item, total) in enumerate(zip(tree.items, tree.totals[0])):
         containing = [t for t in db.transactions if item in t]
         assert tree.count[tree.rank == r].sum() == len(containing) == total
         # Each conditional total counts the transactions holding both items.
