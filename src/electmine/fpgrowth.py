@@ -1,30 +1,19 @@
 """FP-Growth miner: prefix-tree compression plus conditional-tree recursion.
 
-The prefix tree and its conditional trees are Han, Pei & Yin's (SIGMOD
-2000), held as int32 arrays in forests (``FPTree``); the root tree is the
-one-tree forest of the empty suffix. ``build_fptree`` returns it,
-``mine_fptree`` mines it, and ``mine_fpgrowth`` is the two in turn. Every
-tree is built by one numpy trie (``_trie``): the paths are left-justified
-rows of item ranks, and one column, that is one depth, at a time the
-distinct (parent, rank) pairs become that depth's nodes.
+The trees are Han, Pei & Yin's (SIGMOD 2000), held as arrays in forests
+(``FPTree``); ``build_fptree`` returns the root tree, ``mine_fptree`` mines
+it. Each node holds its root-to-node path as a bitmask of ranks, rank r
+being bit r % 64 of word r // 64, stored as cells: the words the path uses.
+One numpy trie (``_trie``) builds every tree from such paths. The recursion
+runs breadth-first within each root item: one forest holds every
+conditional tree of one search depth below one root item, and one step
+(``_project``) builds the next depth's forest from all of them at once,
+which pays for numpy's per-call cost on the thousands of small deep trees.
 
-The recursion runs breadth-first within each root item. One forest holds
-every conditional tree of one search depth below one root item, and one step
-(``_project``) builds the next depth's forest from all of them at once: it
-walks every node up one depth per numpy call, totals the weighted ranks it
-meets per (new tree, rank) with ``bincount``, drops the ranks below the
-cutoff, left-justifies the paths with a sort and hands them to ``_trie``
-with one root per new tree. Batching a depth's trees pays for numpy's
-per-call cost on the thousands of small deep trees. One root item at a time
-keeps memory bounded: at 50k survey rows, a prototype's traced allocation
-peaked at 221 MB with one forest per depth across all root items, and at
-13.5 MB one root item at a time.
-
-Produces exactly the same itemsets, counts, and output order as the Apriori
-miner; the two are cross-checked against each other and against the
-brute-force oracle in the verify module. So that check has an independent
-route, this module never uses the counting kernel or ``db.matrix``, the
-packed item columns Apriori counts on.
+Produces exactly the same itemsets, counts and output order as the Apriori
+miner, and is cross-checked against it and the brute-force oracle. So that
+check has an independent route, this module never uses the counting kernel
+or ``db.matrix``, the packed item columns Apriori counts on.
 """
 
 from __future__ import annotations
@@ -36,6 +25,12 @@ import numpy as np
 
 from .model import FrequentItemset, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
 
+# Bit j of v, for the 4- and 8-bit digits v; the 8 and the 16 bits of v in reverse order.
+_BITS = {b: np.unpackbits(np.arange(1 << b, dtype=np.uint8)[:, None], axis=1, bitorder="little")[:, :b].astype(float)
+         for b in (4, 8)}
+_REVERSED = np.packbits(_BITS[8].astype(np.uint8), axis=1).ravel()
+_REVERSED = (_REVERSED.astype("<u2") << 8 | _REVERSED[:, None]).ravel()
+
 
 class NodeView(NamedTuple):
     """One node of ``FPTree.root``'s nested view."""
@@ -46,20 +41,17 @@ class NodeView(NamedTuple):
 
 
 class FPTree(NamedTuple):
-    """A forest of prefix trees held as int32 arrays over node ids.
+    """A forest of prefix trees held as arrays over node ids.
 
     Tree t is the conditional tree of the itemset of ranks ``suffix[t]``,
-    the root item first; ``build_fptree``'s root tree is the one-tree forest
-    of the empty suffix. ``items[r]`` is the item of rank r: the frequent
-    items by descending total, ties broken by ascending item id, in every
-    tree, so each keeps its parent's item order. ``totals[t, r]`` is the
-    total of tree t's item of rank r, 0 for the ranks it does not hold.
-    ``parent``, ``rank`` and ``count`` are per node: node t is tree t's
-    root, its own parent, with the padding rank ``totals.shape[1]``
-    (``len(items)`` in the root tree, the root item's rank below it), so a
-    walk up stays at the root and reads no item there. Every other node's id
-    is above its parent's, and every root-to-node path lists strictly
-    increasing ranks.
+    the root item first; the root tree is the forest of the empty suffix.
+    ``items[r]`` is the item of rank r (descending total, ties by item id)
+    in every tree; ``totals[t, r]`` is tree t's total of rank r, 0 if it
+    holds none. Per node: int32 ``parent``, ``rank`` and ``count``, its
+    ``tree``, and its root-to-node path as cells, ``mask[n, c]`` the bits of
+    word ``word[n, c]``, nonempty cells first by ascending word. Node t is
+    tree t's root, its own parent, with the padding rank ``totals.shape[1]``
+    and an empty path; other nodes' ids are above their parents'.
     """
 
     items: list[int]
@@ -68,11 +60,16 @@ class FPTree(NamedTuple):
     parent: np.ndarray
     rank: np.ndarray
     count: np.ndarray
+    tree: np.ndarray
+    word: np.ndarray
+    mask: np.ndarray
 
     @property
     def root(self) -> NodeView:
         """A one-tree forest as a nested (item, count, children-by-item) view,
         built on each access; the benchmark's node count and the tests walk it."""
+        if len(self.suffix) != 1:
+            raise ValueError(f"a forest of {len(self.suffix)} trees has no single root")
         item = [None, *np.array(self.items, np.int64)[self.rank[1:]].tolist()]
         views = [NodeView(i, c, {}) for i, c in zip(item, self.count.tolist())]
         for node, up in enumerate(self.parent[1:].tolist(), 1):
@@ -80,35 +77,77 @@ class FPTree(NamedTuple):
         return views[0]
 
 
-def _trie(paths: np.ndarray, weights: np.ndarray, n_ranks: int, tree: np.ndarray,
-          n_trees: int) -> tuple[np.ndarray, ...]:
-    """The (parent, rank, count) arrays of n_trees prefix trees, row i of
-    paths a path of tree[i].
-
-    Each row lists ascending ranks, left-justified and padded with n_ranks,
-    and adds weights[row] to every node on its path. Nodes 0 to n_trees - 1
-    are the roots, each its own parent, with the padding rank. One column,
-    that is one depth, per step: the distinct ``parent * n_ranks + rank``
-    keys of a column are its nodes, in key order, so every node's id is
-    above its parent's and a depth's nodes follow the shallower ones.
+def _trie(tree: np.ndarray, word: np.ndarray, mask: np.ndarray, weights: np.ndarray,
+          n_trees: int, pad: int) -> tuple[np.ndarray, ...]:
+    """The (parent, rank, count, tree, word, mask) arrays of n_trees prefix
+    trees, the roots first; row i of (word, mask) is a path of tree[i] adding
+    weights[i] to each node on it. The rows are sorted once, by tree and then
+    by path in lexicographic rank order, a path after the longer ones it
+    begins. Then one depth per step each row's lowest remaining rank is
+    peeled off, and a node starts wherever (parent, rank) differs from the
+    row before: node ids follow np.unique's order of (parent, rank).
     """
-    rows = np.arange(len(paths))
-    node = tree.astype(np.int64)  # each live row's node at the last depth
-    roots = np.arange(n_trees, dtype=np.int32)
-    levels = [(roots, np.full(n_trees, n_ranks, np.int32), np.zeros(n_trees, np.int32))]
-    n_nodes = n_trees
-    for column in paths.T:
-        ranks = column[rows]
-        live = ranks < n_ranks
-        if not live.any():
-            break
-        rows, node = rows[live], node[live]
-        keys, inverse = np.unique(node * n_ranks + ranks[live], return_inverse=True)
-        counts = np.bincount(inverse, weights[rows]).astype(np.int32)
-        levels.append(((keys // n_ranks).astype(np.int32), (keys % n_ranks).astype(np.int32), counts))
-        node = n_nodes + inverse
-        n_nodes += len(keys)
-    return tuple(map(np.concatenate, zip(*levels)))
+    n_words, word = -(-pad // 64), np.where(mask != 0, word, -(-pad // 64))  # an empty cell's word is above all
+    if mask.shape[1] > 1:  # nonempty cells first, in word order
+        by_word = np.argsort(word, axis=1)[:, :max(1, (mask != 0).sum(1).max())]
+        word, mask = np.take_along_axis(word, by_word, 1), np.take_along_axis(mask, by_word, 1)
+    live = np.flatnonzero(mask[:, 0])  # an empty path adds no node
+    tree, word, mask, weights = tree[live].astype(np.min_scalar_type(n_trees)), word[live], mask[live], weights[live]
+    size = n_trees + int(np.bitwise_count(mask).sum())
+    if len(tree) > 1:
+        # Least significant key first, then stable sorts, radix ones on keys cast to
+        # the smallest unsigned type; a key that cannot differ is left out.
+        keys = [tree] if n_trees > 1 else []
+        for c in range(mask.shape[1]):
+            if n_words > 1:
+                keys.append(word[:, c].astype(np.min_scalar_type(n_words)))
+            quarters = np.ascontiguousarray(mask[:, c], "<u8").view("<u2").reshape(-1, 4)[:, ::-1]
+            keys.append(~np.ascontiguousarray(_REVERSED[quarters]).view("<u8").ravel())  # bits reversed
+        order = np.argsort(keys[-1])
+        for key in keys[-2::-1]:
+            order = order[np.argsort(key[order], kind="stable")]
+        tree, word, mask, weights = (np.take(a, order, axis=0) for a in (tree, word, mask, weights))
+        # Ranks a row shares with the row before add no node; an equal row merges.
+        same, shared = tree[1:] == tree[:-1], np.zeros(len(tree) - 1, np.int64)
+        for c in range(mask.shape[1]):
+            differ = mask[1:, c] ^ mask[:-1, c]
+            same &= word[1:, c] == word[:-1, c]
+            shared += np.where(same, np.bitwise_count(mask[1:, c] & ((differ & -differ) - 1)), 0)
+            same &= differ == 0
+        size -= int(shared.sum())
+        del keys, order, shared
+        first = np.flatnonzero(np.concatenate([[True], ~same]))
+        weights = np.add.reduceat(weights, first, dtype=np.int32)
+        tree, word, mask = tree[first], word[first], mask[first]
+    out, trees = np.empty((3, size), np.int32), np.empty(size, tree.dtype)  # out: parent, rank, count
+    words, paths = np.zeros((size, mask.shape[1]), word.dtype), np.zeros((size, mask.shape[1]), np.uint64)
+    out[0, :n_trees], out[1:, :n_trees], trees[:n_trees] = np.arange(n_trees), [[pad], [0]], np.arange(n_trees)
+    # Per live row: index, cell, the cell's rank 0, weight; its node, its cell's ranks left.
+    state = np.stack([np.arange(len(tree)), 0 * weights, word[:, 0] * np.int32(64), weights], axis=1).astype(np.int32)
+    node, bits, n_nodes = tree.astype(np.int32), mask[:, 0].copy(), n_trees
+    while len(bits):
+        row, at, base, weights = state.T
+        low = bits & -bits
+        ranks = base + np.bitwise_count(low - 1)
+        bits ^= low
+        differs = np.ones(len(bits), bool)
+        differs[1:] = (node[1:] != node[:-1]) | (ranks[1:] != ranks[:-1])
+        first = np.flatnonzero(differs)
+        up, new = node[first], slice(n_nodes, n_nodes + len(first))
+        out[:, new] = up, ranks[first], np.add.reduceat(weights, first)
+        trees[new], cell = trees[up], np.arange(mask.shape[1]) == at[first, None]  # the new rank's cell
+        np.bitwise_or(np.take(paths, up, axis=0), np.where(cell, low[first, None], 0), out=paths[new])
+        if n_words > 1:
+            words[new] = np.where(cell, base[first, None] >> 6, words[up])
+        node = np.cumsum(differs, dtype=np.int32) + np.int32(n_nodes - 1)
+        n_nodes += len(first)
+        if mask.shape[1] > 1:  # a row whose cell is spent goes on to its next
+            spent = np.flatnonzero((bits == 0) & (at < mask.shape[1] - 1))
+            at[spent] += 1
+            bits[spent], base[spent] = mask[row[spent], at[spent]], word[row[spent], at[spent]] * np.int32(64)
+        live = np.flatnonzero(bits)
+        state, node, bits = np.take(state, live, axis=0), node[live], bits[live]
+    return *out, trees, words, paths
 
 
 def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
@@ -121,65 +160,60 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
     totals = np.bincount(flat, minlength=db.n_items)
     by_count = np.argsort(-totals, kind="stable")  # ties by ascending item id
     ordered = by_count[totals[by_count] >= min_count]
-    n_ranks = len(ordered)
+    n_ranks, n_words = len(ordered), -(-len(ordered) // 64)
     rank_of = np.full(db.n_items, n_ranks, np.int32)
     rank_of[ordered] = np.arange(n_ranks, dtype=np.int32)
-    # Each transaction's ranks, filled one column at a time, then sorted within rows.
+    # Each transaction's path, one item column at a time; a rank joins its word's cell.
+    word = np.full((db.n_transactions, max(1, min(int(lengths.max()), n_words))), n_words, np.min_scalar_type(n_words))
+    mask, n_cells = np.zeros(word.shape, np.uint64), np.zeros(db.n_transactions, np.intp)
     starts = np.cumsum(lengths) - lengths
-    paths = np.full((db.n_transactions, lengths.max()), n_ranks, np.int32)
-    for j in range(paths.shape[1]):
+    for j in range(lengths.max()):
         rows = np.flatnonzero(lengths > j)
-        paths[rows, j] = rank_of[flat[starts[rows] + j]]
+        ranks = rank_of[flat[starts[rows] + j]]
+        rows, ranks = rows[ranks < n_ranks], ranks[ranks < n_ranks]
+        same = word[rows] == (ranks >> 6)[:, None]
+        cell = np.where(same.any(1), same.argmax(1), n_cells[rows])
+        n_cells[rows] += ~same.any(1)
+        word[rows, cell], mask[rows, cell] = ranks >> 6, mask[rows, cell] | np.uint64(1) << (ranks & 63).astype(np.uint64)
     del flat, starts
-    paths.sort(axis=1)
-    return FPTree(ordered.tolist(), np.zeros((1, 0), np.int64), totals[None, ordered],
-                  *_trie(paths, np.ones(db.n_transactions, np.int32), n_ranks,
-                         np.zeros(db.n_transactions, np.int32), 1))
+    return FPTree(ordered.tolist(), np.zeros((1, 0), np.int64), totals[None, ordered], *_trie(
+        np.zeros(db.n_transactions, np.int32), word, mask, np.ones(db.n_transactions, np.int32), 1, n_ranks))
 
 
 def _project(tree: FPTree, nodes: np.ndarray, pair: np.ndarray, suffix: np.ndarray,
              min_count: int) -> FPTree:
     """The forest of the conditional trees of suffix's itemsets: the prefix
-    paths of nodes, nodes of tree's trees, each weighted by its node's
-    count, a node of rank r in tree t bound for new tree pair[t, r].
-
-    Every rank on those paths is below the root item's, ``suffix[0, 0]``,
-    the new forest's padding rank. A new tree keeps the ranks whose total
+    paths of nodes, each weighted by its node's count, a node of rank r in
+    tree t bound for new tree pair[t, r]. Every rank on them is below the
+    padding rank ``suffix[0, 0]``. A new tree keeps the ranks whose total
     reaches min_count, and a tree that keeps none is left out.
     """
-    n_roots, pad = len(tree.suffix), int(suffix[0, 0])
-    weights = tree.count[nodes]
-    # One depth up per step; a row leaves the walk at its tree's root.
-    root = np.empty(len(nodes), np.int32)
-    steps, rows, up = [], np.arange(len(nodes), dtype=np.int32), tree.parent[nodes]
-    while True:
-        live = up >= n_roots
-        root[rows[~live]] = up[~live]
-        if not live.any():
-            break
-        rows, up = rows[live], up[live]
-        steps.append((rows, tree.rank[up]))
-        up = tree.parent[up]
-    new_tree = pair[root, tree.rank[nodes]]
-    n_trees = len(suffix)
-    totals = np.zeros(n_trees * pad)
-    for rows, ranks in steps:
-        totals += np.bincount(new_tree[rows] * pad + ranks, weights[rows], n_trees * pad)
-    totals = totals.reshape(n_trees, pad).astype(np.int64)
-    totals[totals < min_count] = 0
-    kept = totals > 0
-    # Each path's kept ranks, walked in descending order, then sorted so
-    # they come first in ascending order.
-    paths = np.full((len(nodes), len(steps)), pad, np.int32)
-    for j, (rows, ranks) in enumerate(steps):
-        paths[rows, j] = np.where(kept[new_tree[rows], ranks], ranks, pad)
-    del steps
-    paths.sort(axis=1)
-    # Rows of a tree left out keep no rank, so _trie never reads their tree.
+    n_trees, pad = len(suffix), int(suffix[0, 0])
+    n_words = max(1, -(-pad // 64))
+    # A prefix path is the parent's path, empty under a root; its ranks are below pad.
+    nodes = nodes[tree.parent[nodes] >= len(tree.suffix)]
+    kept = np.zeros((n_trees, 64 * n_words), bool)
+    if len(nodes):
+        up = tree.parent[nodes]
+        word, mask = tree.word[up, :n_words], tree.mask[up, :n_words]
+        new_tree, weights = pair[tree.tree[nodes], tree.rank[nodes]], tree.count[nodes]
+        # Totals: per b-bit digit in use, a bincount over (tree, word, digit) and a bit table;
+        # bytes unless their bins outnumber the cells plus a numpy call's cost (about 8192
+        # elements). Sums stay below 2**53, so are exact; an empty cell's word can be any.
+        b, word = 8 if 256 * n_trees * n_words < mask.size + 8192 else 4, np.minimum(word, n_words - 1)
+        key = ((new_tree[:, None].astype(np.intp) * n_words + word) << b).ravel()
+        cells, cell_weights, totals = mask.ravel(), np.repeat(weights, mask.shape[1]), np.zeros((n_trees, 64 * n_words))
+        used = int(np.bitwise_or.reduce(cells))
+        for q in [q for q in range(0, 64, b) if used >> q & ((1 << b) - 1)]:
+            sums = np.bincount(key + (cells >> q & (1 << b) - 1).astype(np.intp), cell_weights, n_trees * n_words << b)
+            totals.reshape(-1, 64)[:, q:q + b] = sums.reshape(-1, 1 << b) @ _BITS[b]
+        kept = totals >= min_count
+    if not kept.any():
+        return FPTree(tree.items, suffix[:0], np.zeros((0, pad), np.int64), *(a[:0] for a in tree[3:]))
+    mask &= np.packbits(kept, axis=1, bitorder="little").view("<u8")[new_tree[:, None], word]
     has_items = kept.any(axis=1)
-    renumbered = np.cumsum(has_items) - 1
-    return FPTree(tree.items, suffix[has_items], totals[has_items],
-                  *_trie(paths, weights, pad, renumbered[new_tree], int(has_items.sum())))
+    return FPTree(tree.items, suffix[has_items], np.where(kept, totals, 0)[has_items, :pad].astype(np.int64),
+                  *_trie((np.cumsum(has_items) - 1)[new_tree], word, mask, weights, int(has_items.sum()), pad))
 
 
 def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTree]:
@@ -188,9 +222,10 @@ def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTr
     yield tree
     if max_len == 1:
         return
+    chains = np.argsort(tree.rank.astype(np.min_scalar_type(len(tree.items))), kind="stable")  # in id order
+    bounds = [0, *np.cumsum(np.bincount(tree.rank)).tolist()]
     for r in range(len(tree.items)):
-        nodes = np.flatnonzero(tree.rank == r)
-        forest = _project(tree, nodes, np.zeros((1, r + 1), np.int32), np.array([[r]]), min_count)
+        forest = _project(tree, chains[bounds[r]:bounds[r + 1]], np.zeros((1, r + 1), np.int32), np.array([[r]]), min_count)
         while len(forest.suffix):
             yield forest
             if forest.suffix.shape[1] + 1 == max_len:
@@ -205,14 +240,9 @@ def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTr
 
 def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
                 max_len: int | None = None) -> list[FrequentItemset]:
-    """Conditional-tree mining, normalized to the miners' ordering.
-
-    Each forest's trees give the itemsets one item longer than their
-    suffixes, the root tree's the single items: a suffix plus each item the
-    tree holds, counted by its total. With max_len, the search stops at
-    itemsets of that many items. Rejects the arguments the Apriori miner
-    rejects (``MinerConfig``).
-    """
+    """Conditional-tree mining in the miners' ordering: each tree gives its
+    suffix plus each item it holds, counted by its total, up to max_len
+    items. Rejects what the Apriori miner rejects (``MinerConfig``)."""
     MinerConfig(min_support, max_len)
     min_count = support_cutoff(min_support, n_transactions)
     found, item_of = [], np.array(tree.items, np.int64)

@@ -1,6 +1,7 @@
 import csv
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -200,3 +201,107 @@ def small_dbs(draw):
     transaction = st.frozensets(st.integers(0, n_items - 1)) if n_items else st.just(frozenset())
     rows = draw(st.lists(transaction, min_size=1, max_size=60))
     return TransactionDb(tuple(tuple(sorted(t)) for t in rows), n_items=n_items)
+
+
+class WalkForest(NamedTuple):
+    """One forest of reference_forests: the FPTree fields that do not hold paths."""
+
+    items: list
+    suffix: np.ndarray
+    totals: np.ndarray
+    parent: np.ndarray
+    rank: np.ndarray
+    count: np.ndarray
+
+
+def _walk_trie(paths, weights, n_ranks, tree, n_trees):
+    """(parent, rank, count) of prefix trees from left-justified rank rows
+    padded with n_ranks, one np.unique over parent * n_ranks + rank per column."""
+    rows, node = np.arange(len(paths)), tree.astype(np.int64)
+    roots = np.arange(n_trees, dtype=np.int32)
+    levels = [(roots, np.full(n_trees, n_ranks, np.int32), np.zeros(n_trees, np.int32))]
+    n_nodes = n_trees
+    for column in paths.T:
+        ranks = column[rows]
+        live = ranks < n_ranks
+        if not live.any():
+            break
+        rows, node = rows[live], node[live]
+        keys, inverse = np.unique(node * n_ranks + ranks[live], return_inverse=True)
+        counts = np.bincount(inverse, weights[rows]).astype(np.int32)
+        levels.append(((keys // n_ranks).astype(np.int32), (keys % n_ranks).astype(np.int32), counts))
+        node = n_nodes + inverse
+        n_nodes += len(keys)
+    return tuple(map(np.concatenate, zip(*levels)))
+
+
+def _walk_project(tree, nodes, pair, suffix, min_count):
+    """The forest below tree's nodes, each node's prefix path found by walking
+    its parents up one depth per numpy call."""
+    n_roots, pad, n_trees = len(tree.suffix), int(suffix[0, 0]), len(suffix)
+    weights = tree.count[nodes]
+    root = np.empty(len(nodes), np.int32)
+    steps, rows, up = [], np.arange(len(nodes), dtype=np.int32), tree.parent[nodes]
+    while True:
+        live = up >= n_roots
+        root[rows[~live]] = up[~live]
+        if not live.any():
+            break
+        rows, up = rows[live], up[live]
+        steps.append((rows, tree.rank[up]))
+        up = tree.parent[up]
+    new_tree = pair[root, tree.rank[nodes]]
+    totals = np.zeros(n_trees * pad)
+    for rows, ranks in steps:
+        totals += np.bincount(new_tree[rows] * pad + ranks, weights[rows], n_trees * pad)
+    totals = totals.reshape(n_trees, pad).astype(np.int64)
+    totals[totals < min_count] = 0
+    kept = totals > 0
+    paths = np.full((len(nodes), len(steps)), pad, np.int32)
+    for j, (rows, ranks) in enumerate(steps):
+        paths[rows, j] = np.where(kept[new_tree[rows], ranks], ranks, pad)
+    paths.sort(axis=1)
+    has_items = kept.any(axis=1)
+    renumbered = np.cumsum(has_items) - 1
+    return WalkForest(tree.items, suffix[has_items], totals[has_items],
+                      *_walk_trie(paths, weights, pad, renumbered[new_tree], int(has_items.sum())))
+
+
+def reference_forests(db: TransactionDb, min_support: float, max_len=None):
+    """What fpgrowth._forests(build_fptree(db, min_support), ...) should give,
+    built the way it was before node paths were stored: the root tree from a
+    sorted rank matrix, each projection by walking every node up its path, and
+    every trie with one np.unique per depth. Test-only reference."""
+    min_count = support_cutoff(min_support, db.n_transactions)
+    lengths = np.fromiter(map(len, db.transactions), np.int32, db.n_transactions)
+    flat = np.fromiter(chain.from_iterable(db.transactions), np.int32, int(lengths.sum()))
+    totals = np.bincount(flat, minlength=db.n_items)
+    by_count = np.argsort(-totals, kind="stable")
+    ordered = by_count[totals[by_count] >= min_count]
+    n_ranks = len(ordered)
+    rank_of = np.full(db.n_items, n_ranks, np.int32)
+    rank_of[ordered] = np.arange(n_ranks, dtype=np.int32)
+    starts = np.cumsum(lengths) - lengths
+    paths = np.full((db.n_transactions, lengths.max()), n_ranks, np.int32)
+    for j in range(paths.shape[1]):
+        rows = np.flatnonzero(lengths > j)
+        paths[rows, j] = rank_of[flat[starts[rows] + j]]
+    paths.sort(axis=1)
+    tree = WalkForest(ordered.tolist(), np.zeros((1, 0), np.int64), totals[None, ordered],
+                      *_walk_trie(paths, np.ones(db.n_transactions, np.int32), n_ranks,
+                                  np.zeros(db.n_transactions, np.int32), 1))
+    yield tree
+    if max_len == 1:
+        return
+    for r in range(n_ranks):
+        forest = _walk_project(tree, np.flatnonzero(tree.rank == r), np.zeros((1, r + 1), np.int32),
+                               np.array([[r]]), min_count)
+        while len(forest.suffix):
+            yield forest
+            if forest.suffix.shape[1] + 1 == max_len:
+                break
+            kept = forest.totals > 0
+            t, k = np.nonzero(kept)
+            pair = np.cumsum(kept).reshape(kept.shape) - 1
+            forest = _walk_project(forest, np.arange(len(forest.suffix), len(forest.rank)), pair,
+                                   np.column_stack([forest.suffix[t], k]), min_count)

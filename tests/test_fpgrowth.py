@@ -15,7 +15,7 @@ from electmine.fpgrowth import build_fptree, mine_fpgrowth, mine_fptree
 from electmine.model import TransactionDb, itemset_sort_key, support_cutoff
 from electmine.verify import brute_force_frequent
 
-from conftest import random_db, small_dbs, wide_db
+from conftest import random_db, reference_forests, small_dbs, wide_db
 
 
 def as_pairs(frequent):
@@ -107,6 +107,22 @@ def check_definition(tree, paths, order, min_count):
     assert len({(tree.parent[node], tree.item[node]) for node in nodes}) == len(nodes)
 
 
+def check_paths(forest):
+    """Each node's tree and path cells against a walk up its parents: one cell
+    per word the path uses, nonempty cells first in ascending word order."""
+    n_trees, parent, rank = len(forest.suffix), forest.parent.tolist(), forest.rank.tolist()
+    for node in range(len(parent)):
+        words, up = {}, node
+        while up >= n_trees:
+            words[rank[up] // 64] = words.get(rank[up] // 64, 0) | 1 << rank[up] % 64
+            up = parent[up]
+        assert forest.tree[node] == up
+        n_cells = len(words)
+        assert (forest.mask[node, :n_cells] != 0).all() and (forest.mask[node, n_cells:] == 0).all()
+        assert forest.word[node, :n_cells].tolist() == sorted(words)
+        assert forest.mask[node, :n_cells].tolist() == [words[w] for w in sorted(words)]
+
+
 def check_tree(db, min_support, array_tree):
     """array_tree, build_fptree(db, min_support), against its definition."""
     min_count = support_cutoff(min_support, db.n_transactions)
@@ -118,6 +134,7 @@ def check_tree(db, min_support, array_tree):
     check_definition(tree, paths, order, min_count)
     assert array_tree.rank[0] == len(array_tree.items) and array_tree.parent[0] == 0
     assert array_tree.suffix.shape == (1, 0) and array_tree.totals.shape == (1, len(array_tree.items))
+    check_paths(array_tree)
 
     # The nested view, walked as the benchmark counts FP-tree nodes.
     walked, stack = 0, [array_tree.root]
@@ -141,6 +158,7 @@ def check_forests(tree, min_count, max_len=None):
         assert pad == (int(forest.suffix[0, 0]) if built else len(tree.items))
         assert (forest.parent[:n_trees] == np.arange(n_trees)).all() and (forest.rank[:n_trees] == pad).all()
         assert (forest.parent[n_trees:] < np.arange(n_trees, len(forest.rank))).all()
+        check_paths(forest)
         trees = forest_lists(tree, forest)
         assert not trees.keys() & built.keys()
         built.update(trees)
@@ -267,6 +285,13 @@ def test_array_projections_match_their_definition(db, min_support, max_len):
     check_forests(build_fptree(db, min_support), support_cutoff(min_support, db.n_transactions), max_len)
 
 
+def subset_counts(db, min_count):
+    """Every itemset at or above min_count, counted by enumerating each
+    transaction's subsets, in the miners' order."""
+    counts = Counter(s for t in db.transactions for k in range(1, len(t) + 1) for s in combinations(t, k))
+    return sorted(((s, c) for s, c in counts.items() if c >= min_count), key=lambda pair: itemset_sort_key(pair[0]))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_more_items_than_a_byte_ranks(seed):
     db, min_support = wide_db(seed), 0.002
@@ -274,12 +299,51 @@ def test_more_items_than_a_byte_ranks(seed):
     assert len(tree.items) > 255
     check_tree(db, min_support, tree)
     check_forests(tree, support_cutoff(min_support, db.n_transactions))
-    # Every itemset counted by enumerating each transaction's subsets.
-    min_count = support_cutoff(min_support, db.n_transactions)
-    counts = Counter(s for t in db.transactions for k in range(1, len(t) + 1) for s in combinations(t, k))
-    expected = sorted(((s, c) for s, c in counts.items() if c >= min_count), key=lambda pair: itemset_sort_key(pair[0]))
+    expected = subset_counts(db, support_cutoff(min_support, db.n_transactions))
     assert as_pairs(mine_fpgrowth(db, min_support)) == expected
     assert as_pairs(mine_fptree(tree, min_support, db.n_transactions)) == expected
+
+
+def check_against_the_walk(db, min_support, max_len=None):
+    """_forests against reference_forests, array for array."""
+    tree = build_fptree(db, min_support)
+    forests = list(fpgrowth._forests(tree, support_cutoff(min_support, db.n_transactions), max_len))
+    reference = list(reference_forests(db, min_support, max_len))
+    assert len(forests) == len(reference)
+    for forest, walked in zip(forests, reference):
+        assert forest.items == walked.items
+        for name in ("suffix", "totals", "parent", "rank", "count"):
+            got, want = getattr(forest, name), getattr(walked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    return tree
+
+
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]), st.sampled_from([None, 1, 2, 3]))
+@example(TransactionDb(((0, 1), (), (0, 1, 2), ()), n_items=3), 0.25, None)  # empty transactions
+@example(TransactionDb(((0, 1), (1, 2), (0, 2)), n_items=3), 1.0, None)  # nothing frequent
+def test_forests_match_the_walk(db, min_support, max_len):
+    """Node paths read off the masks build the same forests, node ids
+    included, as walking every node up its parents did."""
+    check_against_the_walk(db, min_support, max_len)
+
+
+@pytest.mark.parametrize("n_ranks", [63, 64, 65, 128, 129])
+def test_forests_match_the_walk_at_mask_word_boundaries(n_ranks):
+    db = wide_db(0, n_items=n_ranks, n_transactions=400)
+    tree = check_against_the_walk(db, 0.0025)
+    assert len(tree.items) == n_ranks
+    assert (tree.mask.shape[1] > 1) == (n_ranks > 64)  # some path spans two words
+    check_forests(tree, 1)
+    assert as_pairs(mine_fpgrowth(db, 0.0025)) == subset_counts(db, 1)
+
+
+def test_root_view_needs_a_single_tree():
+    db = random_db(5)
+    tree = build_fptree(db, 1 / db.n_transactions)
+    forest = next(f for f in fpgrowth._forests(tree, 1, None) if len(f.suffix) > 1)
+    with pytest.raises(ValueError, match="has no single root"):
+        forest.root
+    assert tree.root.children
 
 
 def test_independent_of_the_counting_kernel():
