@@ -172,9 +172,9 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
         ranks = rank_of[flat[starts[rows] + j]]
         rows, ranks = rows[ranks < n_ranks], ranks[ranks < n_ranks]
         same = word[rows] == (ranks >> 6)[:, None]
-        cell = np.where(same.any(1), same.argmax(1), n_cells[rows])
+        cell = rows * word.shape[1] + np.where(same.any(1), same.argmax(1), n_cells[rows])
         n_cells[rows] += ~same.any(1)
-        word[rows, cell], mask[rows, cell] = ranks >> 6, mask[rows, cell] | np.uint64(1) << (ranks & 63).astype(np.uint64)
+        word.ravel()[cell], mask.ravel()[cell] = ranks >> 6, mask.ravel()[cell] | np.uint64(1) << (ranks & 63).astype(np.uint64)
     del flat, starts
     return FPTree(ordered.tolist(), np.zeros((1, 0), np.int64), totals[None, ordered], *_trie(
         np.zeros(db.n_transactions, np.int32), word, mask, np.ones(db.n_transactions, np.int32), 1, n_ranks))
