@@ -257,4 +257,5 @@ def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
 def mine_fpgrowth(db: TransactionDb, min_support: float,
                   max_len: int | None = None) -> list[FrequentItemset]:
     """``mine_fptree`` over ``build_fptree``'s tree."""
+    MinerConfig(min_support, max_len)  # before the tree is built
     return mine_fptree(build_fptree(db, min_support), min_support, db.n_transactions, max_len)

@@ -74,9 +74,6 @@ class ConsistencyRule:
         if len(self.conjuncts) < 2:
             raise ValueError("a consistency rule needs at least two conjuncts")
 
-    def matches(self, row: Mapping[str, str]) -> bool:
-        return all(row.get(col) == value for col, value in self.conjuncts)
-
 
 @dataclass(frozen=True)
 class SchemaSpec:
@@ -204,8 +201,9 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     The result equals load_csv, clean (with the schema's consistency rules),
     select_features (with the schema's keep list, or every non-drop column)
     and encode_rows in turn, and the report also lists the ignored header
-    columns. No row is held as a dict: each row becomes its transaction as
-    it is read. Each column keeps a memo from raw cell to outcome, so each
+    columns. No row is kept as a dict: its rule is decided first from the
+    memoised stripped cells, and a dropped row counts only its missing
+    cells. Each column keeps a memo from raw cell to outcome, so each
     distinct cell is stripped, checked and binned once, and memory is
     bounded by the distinct cells plus the transactions.
     """
@@ -218,35 +216,29 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
         order = [name for name in keep if name in positions]
         order += [name for name in positions if name not in keep]
         columns = [(name, positions[name], name in keep, cells[name]) for name in order]
+        # Each rule's (cell position, column memo, value) conjuncts; a missing cell strips to None.
+        rules = [(r.description, [(positions[n], cells[n], v) for n, v in r.conjuncts]) for r in schema.consistency_rules]
 
         def kept_rows() -> Iterator[list[str]]:
             for row in _records(reader, path, width):
-                stripped: dict[str, str] = {}
+                rule = next((d for d, conjuncts in rules if all(memo[row[pos]][0] == v for pos, memo, v in conjuncts)), None)
+                if rule is not None:
+                    report.rows_dropped[rule] += 1
                 labels = []
-                out_of_range = []
-                empty = None  # the first kept column whose answer is ""
                 for name, pos, encode, memo in columns:
                     value, cleaned, label = memo[row[pos]]
                     if value is None:
                         report.blanked_cells[name] += 1
+                    elif rule is not None:  # a dropped row counts only its missing cells
                         continue
-                    stripped[name] = value
-                    if not cleaned:
-                        if cleaned is None:
-                            out_of_range.append(name)
-                        elif encode:
-                            empty = empty or name
+                    elif cleaned is None:
+                        report.out_of_range[name] += 1
                     elif encode:
+                        if not cleaned:
+                            raise ValueError(f"{path}: line {reader.line_num}: empty value in column {name!r}")
                         labels.append(label)
-                rule = next((r for r in schema.consistency_rules if r.matches(stripped)), None)
-                if rule is not None:
-                    report.rows_dropped[rule.description] += 1
-                    continue
-                if empty:
-                    raise ValueError(f"{path}: line {reader.line_num}: empty value in column {empty!r}")
-                for name in out_of_range:
-                    report.out_of_range[name] += 1
-                yield labels
+                if rule is None:
+                    yield labels
 
         dictionary, db = encode_labels(kept_rows())
     return dictionary, db, report
@@ -402,7 +394,7 @@ def clean(
                 report.blanked_cells[name] += 1
             else:
                 stripped[name], values[name] = value, cleaned_value
-        rule = next((r for r in consistency if r.matches(stripped)), None)
+        rule = next((r for r in consistency if all(stripped.get(col) == value for col, value in r.conjuncts)), None)
         if rule is not None:
             report.rows_dropped[rule.description] += 1
             continue

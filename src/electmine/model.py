@@ -86,11 +86,9 @@ class TransactionDb:
     n_items: int
 
     def __post_init__(self):
-        transactions = self.transactions
-        if type(transactions) is not tuple or not all(type(t) is tuple for t in transactions):
-            transactions = tuple(map(tuple, transactions))
-            object.__setattr__(self, "transactions", transactions)
-        for row, t in enumerate(transactions):
+        # tuple() of a tuple returns that tuple, so rows that are tuples are not copied.
+        object.__setattr__(self, "transactions", tuple(map(tuple, self.transactions)))
+        for row, t in enumerate(self.transactions):
             if not all(map(operator.lt, t, t[1:])):
                 raise ValueError(f"transaction {row} is not sorted and duplicate-free: {t}")
             if t and (t[0] < 0 or t[-1] >= self.n_items):

@@ -187,6 +187,26 @@ def test_load_names_the_line_of_an_empty_kept_cell(tmp_path):
     assert report.rows_dropped == {"b left blank": 1}
 
 
+def test_load_counts_only_the_missing_cells_of_a_dropped_row(tmp_path):
+    # Line 2 is dropped: its missing c is blanked, its out-of-range age is not
+    # counted. Line 3's b is the missing token "na", which no rule matches.
+    path = tmp_path / "survey.csv"
+    path.write_text("a,b,age,c\n1,x,200,na\n1,na,35,y\n2,x,17,y\n")
+    schema = SchemaSpec(
+        columns=(ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("age", kind="numeric_binned", bins=AGE_BINS),
+                 ColumnSpec("c")),
+        consistency_rules=(ConsistencyRule("x", (("a", "1"), ("b", "x"))),
+                           ConsistencyRule("na", (("a", "1"), ("b", "na")))),
+    )
+    dictionary, db, report = load(schema, path)
+    assert dictionary.labels == ("a_1", "age_30-44", "c_y", "a_2", "b_x")
+    assert db.transactions == ((0, 1, 2), (2, 3, 4))
+    assert (report.rows_dropped, report.blanked_cells, report.out_of_range) == ({"x": 1}, {"b": 1, "c": 1}, {"age": 1})
+    steps = four_calls(schema, path)
+    assert (steps[0].labels, steps[1].transactions, steps[2].as_text()) == (dictionary.labels, db.transactions,
+                                                                           report.as_text())
+
+
 def test_schema_rejects_a_scalar_for_a_list(tmp_path):
     # yaml reads "na" as a string, which would become the tokens {'n', 'a'}.
     path = tmp_path / "schema.yaml"

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from electmine import verify
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.cli import main
-from electmine.model import FrequentItemset, TransactionDb, support_cutoff
+from electmine.model import ConfigError, FrequentItemset, TransactionDb, support_cutoff
 from electmine.rules import Thresholds, generate_rules
 from electmine.verify import (
     MINERS,
@@ -115,11 +115,13 @@ def test_brute_force_rules_match_generator(d5_db):
         (1.5, None, "min_support must be in"),
         (0.5, 0, "max_itemset_len must be >= 1"),
         (0.5, -1, "max_itemset_len must be >= 1"),
+        (float("nan"), None, "min_support must be in"),
+        (float("inf"), None, "min_support must be in"),
     ],
-    ids=["min-support-0", "min-support-1.5", "max-len-0", "max-len--1"],
+    ids=["min-support-0", "min-support-1.5", "max-len-0", "max-len--1", "min-support-nan", "min-support-inf"],
 )
 def test_miners_reject_the_same_arguments(d5_db, name, min_support, max_len, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigError, match=message):
         MINERS[name](d5_db, min_support, max_len)
 
 
