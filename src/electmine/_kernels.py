@@ -1,10 +1,10 @@
 """Support counting: one packed-bitset kernel.
 
-`pack` is the one bit layout of a transaction database: row i of its array
-is item i's column, packed eight transactions a byte, and the padding bits of
-the last byte are zero. The count of an itemset is the popcount of the AND of
-its items' packed rows: vertical tidset intersection as in Eclat (Zaki
-2000), on bitsets.
+`pack` is the one bit layout of a transaction database, built from its flat
+arrays (`TransactionDb.flat` and `lengths`): row i is item i's column, packed
+eight transactions a byte, the last byte's padding bits zero. The count of
+an itemset is the popcount of the AND of its items' packed rows: vertical
+tidset intersection as in Eclat (Zaki 2000), on bitsets.
 
 Memory: `pack` holds an n_items * n_rows bool temporary while it packs, and
 its result is n_items * ceil(n_rows / 8) bytes. `count_itemsets` counts one
@@ -17,22 +17,17 @@ itemsets a level has.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
-
 import numpy as np
 
 BACKEND = "bitset"  # the one counting kernel; electbench/run.py records it
 BLOCK_BYTES = 1 << 20
 
 
-def pack(transactions: Sequence[Sequence[int]], n_items: int) -> np.ndarray:
-    """Read-only uint8 array (n_items, ceil(n_rows / 8)): bit r of row i is
-    set when transaction r holds item i."""
-    lengths = np.fromiter(map(len, transactions), dtype=np.intp, count=len(transactions))
-    items = np.fromiter(chain.from_iterable(transactions), dtype=np.intp, count=int(lengths.sum()))
-    columns = np.zeros((n_items, len(transactions)), dtype=bool)
-    columns[items, np.repeat(np.arange(len(transactions)), lengths)] = True
+def pack(lengths: np.ndarray, flat: np.ndarray, n_items: int) -> np.ndarray:
+    """Read-only uint8 array (n_items, ceil(n_rows / 8)): bit r of row i is set
+    when transaction r (lengths[r] ids of flat, in row order) holds item i."""
+    columns = np.zeros((n_items, len(lengths)), dtype=bool)
+    columns[flat, np.repeat(np.arange(len(lengths)), lengths)] = True
     packed = np.packbits(columns, axis=1)
     packed.setflags(write=False)
     return packed

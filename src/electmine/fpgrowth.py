@@ -18,7 +18,6 @@ or ``db.matrix``, the packed item columns Apriori counts on.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -155,9 +154,8 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
     min_count = support_cutoff(min_support, db.n_transactions)
-    lengths = np.fromiter(map(len, db.transactions), np.int32, db.n_transactions)
-    flat = np.fromiter(chain.from_iterable(db.transactions), np.int32, int(lengths.sum()))
-    totals = np.bincount(flat, minlength=db.n_items)
+    lengths = db.lengths
+    totals = np.bincount(db.flat, minlength=db.n_items)
     by_count = np.argsort(-totals, kind="stable")  # ties by ascending item id
     ordered = by_count[totals[by_count] >= min_count]
     n_ranks, n_words = len(ordered), -(-len(ordered) // 64)
@@ -169,13 +167,12 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
     starts = np.cumsum(lengths) - lengths
     for j in range(lengths.max()):
         rows = np.flatnonzero(lengths > j)
-        ranks = rank_of[flat[starts[rows] + j]]
+        ranks = rank_of[db.flat[starts[rows] + j]]
         rows, ranks = rows[ranks < n_ranks], ranks[ranks < n_ranks]
         same = word[rows] == (ranks >> 6)[:, None]
         cell = rows * word.shape[1] + np.where(same.any(1), same.argmax(1), n_cells[rows])
         n_cells[rows] += ~same.any(1)
         word.ravel()[cell], mask.ravel()[cell] = ranks >> 6, mask.ravel()[cell] | np.uint64(1) << (ranks & 63).astype(np.uint64)
-    del flat, starts
     return FPTree(ordered.tolist(), np.zeros((1, 0), np.int64), totals[None, ordered], *_trie(
         np.zeros(db.n_transactions, np.int32), word, mask, np.ones(db.n_transactions, np.int32), 1, n_ranks))
 

@@ -280,6 +280,7 @@ def _header(reader, path: str | Path, schema: SchemaSpec) -> tuple[dict[str, int
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file, no header")
+    header = [name.strip() for name in header]  # as cells are: "q9 " is q9
     wanted = [c.name for c in schema.columns if c.kind != DROP]
     missing = [name for name in wanted if name not in header]
     if missing:

@@ -9,10 +9,10 @@ always produce identical encodings.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -80,25 +80,33 @@ class ItemDictionary:
 
 @dataclass(frozen=True)
 class TransactionDb:
-    """Encoded dataset: transactions are sorted, duplicate-free item-id tuples."""
+    """Encoded dataset: transactions are sorted, duplicate-free item-id tuples,
+    flattened and checked once: ``flat`` holds their ids in row order, in the
+    smallest unsigned dtype for n_items - 1, and ``lengths`` their intp sizes."""
 
     transactions: tuple[ItemSet, ...]
     n_items: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # tuple() of a tuple returns that tuple, so rows that are tuples are not copied.
         object.__setattr__(self, "transactions", tuple(map(tuple, self.transactions)))
-        for row, t in enumerate(self.transactions):
-            if not all(map(operator.lt, t, t[1:])):
-                raise ValueError(f"transaction {row} is not sorted and duplicate-free: {t}")
-            if t and (t[0] < 0 or t[-1] >= self.n_items):
-                raise ValueError(f"transaction {row} has an item id outside [0, {self.n_items})")
+        lengths = np.fromiter(map(len, self.transactions), np.intp, len(self.transactions))
+        flat = np.fromiter(chain.from_iterable(self.transactions), np.int64, int(lengths.sum()))
+        row = np.repeat(np.arange(len(lengths)), lengths)
+        bad = (flat < 0) | (flat >= self.n_items)
+        bad[1:] |= (flat[1:] <= flat[:-1]) & (row[1:] == row[:-1])  # an id may drop where a row starts
+        if bad.any():
+            raise ValueError(f"transaction {row[bad.argmax()]} is not sorted, duplicate-free and in [0, {self.n_items})")
+        object.__setattr__(self, "flat", flat.astype(np.min_scalar_type(max(0, self.n_items - 1))))
+        object.__setattr__(self, "lengths", lengths)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The packed item columns the counting kernel reads (`_kernels.pack`),
         built on first use: FP-Growth and the oracle never need them."""
-        return _kernels.pack(self.transactions, self.n_items)
+        return _kernels.pack(self.lengths, self.flat, self.n_items)
 
     @property
     def n_transactions(self) -> int:

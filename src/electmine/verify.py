@@ -3,10 +3,11 @@
 The oracle counts every subset of the item universe at once: it tallies each
 transaction's item bitmask, then sums every subset's supersets (the fast
 zeta transform), so its time and memory go with 2^n_items, not with rows.
-It shares nothing with the miners' counting paths (no kernel, no FP-tree),
-so agreement is meaningful. The threshold predicate, the support cutoff, the
-rule constructor and the rule order are shared on purpose: they are the rule
-contract, not part of the counting route or of the split enumeration.
+It shares nothing with the miners' counting paths (no kernel, no FP-tree; it
+reads `db.transactions`, not the flat arrays the miners read), so a fault in
+any of them shows as divergent. The threshold predicate, the support cutoff,
+the rule constructor and the rule order are shared on purpose: they are the
+rule contract, not part of the counting route or of the split enumeration.
 """
 
 from __future__ import annotations

@@ -81,6 +81,23 @@ def test_load_csv_utf8_bom(tmp_path):
     assert load_csv(path, simple_schema()).rows == [{"q9": "No", "age": "35"}]
 
 
+def test_padded_header_loads_as_the_clean_header(tmp_path):
+    # Exports pad names as they pad cells; "q9 " is the column q9.
+    clean_path, padded_path = tmp_path / "clean.csv", tmp_path / "padded.csv"
+    clean_path.write_text("q9,age,weight\nNo,35,1.2\nYes ,70,1\n")
+    padded_path.write_text(" q9 ,age\t, weight\nNo,35,1.2\nYes ,70,1\n")
+    schema = simple_schema()
+    clean, padded = (load(schema, path) for path in (clean_path, padded_path))
+    assert clean[0].labels == ("q9_No", "age_30-44", "q9_Yes", "age_65+")
+    assert (padded[0].labels, padded[1].transactions) == (clean[0].labels, clean[1].transactions)
+    assert padded[2] == clean[2] and padded[2].ignored_columns == ("weight",)
+    assert padded[2].as_text() == clean[2].as_text()
+    assert load_csv(padded_path, schema) == load_csv(clean_path, schema)
+    padded_path.write_text("q9, q9 ,age\nNo,No,35\n")
+    with pytest.raises(ValueError, match="'q9' appears twice"):
+        load_csv(padded_path, schema)
+
+
 def test_clean_blanks_missing_cells():
     rows, report = clean([{"q9": "", "age": "35"}], simple_schema())
     assert rows == [{"age": "30-44"}]

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from electmine import _kernels
+from electmine.model import TransactionDb
 
 
 def direct_count(matrix, itemset):
@@ -14,9 +15,10 @@ def direct_count(matrix, itemset):
 
 
 def pack_rows(matrix):
-    """_kernels.pack of the transactions a bool rows x items matrix holds."""
-    transactions = [tuple(int(i) for i in np.flatnonzero(row)) for row in matrix]
-    return _kernels.pack(transactions, matrix.shape[1])
+    """_kernels.pack, through TransactionDb.matrix, of the transactions a
+    bool rows x items matrix holds."""
+    transactions = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in matrix)
+    return TransactionDb(transactions, matrix.shape[1]).matrix
 
 
 @st.composite

@@ -1,8 +1,11 @@
 import math
+import operator
 from fractions import Fraction
+from itertools import chain
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electmine import cli
@@ -19,7 +22,7 @@ from electmine.model import (
 from electmine.rules import CategoryConfig, Thresholds
 from electmine.verify import OracleLimits, brute_force_frequent
 
-from conftest import D5_ROWS
+from conftest import D5_ROWS, small_dbs
 
 
 def test_encode_single_attribute():
@@ -77,6 +80,51 @@ def test_transaction_validation():
         TransactionDb(((2, 1),), n_items=3)
     with pytest.raises(ValueError):
         TransactionDb(((0, 5),), n_items=3)
+    # A negative id, an id equal to n_items, and a fault after empty rows.
+    for rows, n_items, faulty in [(((0,), (-1, 1)), 2, 1), (((1, 2),), 2, 0),
+                                  (((), (0,), (), (), (1, 1)), 2, 4)]:
+        with pytest.raises(ValueError, match=f"^transaction {faulty} "):
+            TransactionDb(rows, n_items=n_items)
+
+
+def old_row_check(rows, n_items):
+    """The first faulty row, or None: the per-row check TransactionDb made
+    before it checked its flat array. Test-only reference."""
+    for row, t in enumerate(rows):
+        if not all(map(operator.lt, t, t[1:])) or (t and (t[0] < 0 or t[-1] >= n_items)):
+            return row
+    return None
+
+
+@given(small_dbs())
+def test_flat_layout_is_the_rows_concatenated(db):
+    assert db.flat.tolist() == list(chain.from_iterable(db.transactions))
+    assert db.lengths.tolist() == [len(t) for t in db.transactions]
+    assert db.flat.dtype == np.min_scalar_type(max(0, db.n_items - 1)) and db.flat.dtype.kind == "u"
+    assert db.lengths.dtype == np.intp
+    # The arrays take no part in equality or the repr.
+    assert db == TransactionDb(db.transactions, db.n_items) and "flat" not in repr(db)
+
+
+random_rows = st.integers(0, 6).flatmap(lambda n_items: st.tuples(
+    st.lists(st.one_of(st.lists(st.integers(-2, n_items + 1), max_size=4),
+                       st.frozensets(st.integers(0, n_items), max_size=4).map(sorted)).map(tuple), max_size=8),
+    st.just(n_items)))
+
+
+@given(random_rows)
+@example(([(0, 2), (1,)], 3))  # ids drop where a row starts: a boundary-blind check rejects it
+@example(([(2,), (), (1,)], 3))  # the same across an empty row
+@example(([(), ()], 0))
+@example(([(), (), (0, 0)], 1))
+def test_flat_check_matches_the_per_row_check(case):
+    rows, n_items = case
+    faulty = old_row_check(rows, n_items)
+    if faulty is None:
+        assert TransactionDb(tuple(rows), n_items).flat.tolist() == list(chain.from_iterable(rows))
+    else:
+        with pytest.raises(ValueError, match=f"^transaction {faulty} "):
+            TransactionDb(tuple(rows), n_items)
 
 
 @pytest.mark.parametrize("make", [
