@@ -3,7 +3,7 @@
 The trees are Han, Pei & Yin's (SIGMOD 2000), held as arrays in forests
 (``FPTree``); ``build_fptree`` returns the root tree, ``mine_fptree`` mines
 it. Each node holds its root-to-node path as a bitmask of ranks, rank r
-being bit r % 64 of word r // 64, stored as cells: the words the path uses.
+being bit r % 64 of word r // 64, one uint64 column per word of ranks.
 One numpy trie (``_trie``) builds every tree from such paths. The recursion
 runs breadth-first within each root item: one forest holds every
 conditional tree of one search depth below one root item, and one step
@@ -47,10 +47,11 @@ class FPTree(NamedTuple):
     ``items[r]`` is the item of rank r (descending total, ties by item id)
     in every tree; ``totals[t, r]`` is tree t's total of rank r, 0 if it
     holds none. Per node: int32 ``parent``, ``rank`` and ``count``, its
-    ``tree``, and its root-to-node path as cells, ``mask[n, c]`` the bits of
-    word ``word[n, c]``, nonempty cells first by ascending word. Node t is
-    tree t's root, its own parent, with the padding rank ``totals.shape[1]``
-    and an empty path; other nodes' ids are above their parents'.
+    ``tree``, and its root-to-node path, ``mask[n, w]`` the bits of ranks 64w
+    to 64w + 63, one column per word below the padding rank
+    ``totals.shape[1]`` (at least one). Node t is tree t's root, its own
+    parent, with the padding rank and an empty path; other nodes' ids are
+    above their parents'.
     """
 
     items: list[int]
@@ -60,7 +61,6 @@ class FPTree(NamedTuple):
     rank: np.ndarray
     count: np.ndarray
     tree: np.ndarray
-    word: np.ndarray
     mask: np.ndarray
 
     @property
@@ -76,77 +76,69 @@ class FPTree(NamedTuple):
         return views[0]
 
 
-def _trie(tree: np.ndarray, word: np.ndarray, mask: np.ndarray, weights: np.ndarray,
+def _trie(tree: np.ndarray, mask: np.ndarray, weights: np.ndarray,
           n_trees: int, pad: int) -> tuple[np.ndarray, ...]:
-    """The (parent, rank, count, tree, word, mask) arrays of n_trees prefix
-    trees, the roots first; row i of (word, mask) is a path of tree[i] adding
-    weights[i] to each node on it. The rows are sorted once, by tree and then
-    by path in lexicographic rank order, a path after the longer ones it
-    begins. Then one depth per step each row's lowest remaining rank is
-    peeled off, and a node starts wherever (parent, rank) differs from the
-    row before: node ids follow np.unique's order of (parent, rank).
+    """The (parent, rank, count, tree, mask) arrays of n_trees prefix trees,
+    the roots first; row i of mask is a path of tree[i] adding weights[i] to
+    each node on it. The rows are sorted once, by tree and then by path in
+    lexicographic rank order, a path after the longer ones it begins. Then
+    one depth per step each row's lowest remaining rank is peeled off, and a
+    node starts wherever (parent, rank) differs from the row before: node
+    ids follow np.unique's order of (parent, rank).
     """
-    n_words, word = -(-pad // 64), np.where(mask != 0, word, -(-pad // 64))  # an empty cell's word is above all
-    if mask.shape[1] > 1:  # nonempty cells first, in word order
-        by_word = np.argsort(word, axis=1)[:, :max(1, (mask != 0).sum(1).max())]
-        word, mask = np.take_along_axis(word, by_word, 1), np.take_along_axis(mask, by_word, 1)
-    live = np.flatnonzero(mask[:, 0])  # an empty path adds no node
-    tree, word, mask, weights = tree[live].astype(np.min_scalar_type(n_trees)), word[live], mask[live], weights[live]
-    size = n_trees + int(np.bitwise_count(mask).sum())
+    live = np.flatnonzero(mask.any(axis=1))  # an empty path adds no node
+    tree, mask, weights = tree[live].astype(np.min_scalar_type(n_trees)), mask[live], weights[live]
+    size, n_words = n_trees + int(np.bitwise_count(mask).sum()), mask.shape[1]
     if len(tree) > 1:
-        # Least significant key first, then stable sorts, radix ones on keys cast to
-        # the smallest unsigned type; a key that cannot differ is left out.
-        keys = [tree] if n_trees > 1 else []
-        for c in range(mask.shape[1]):
-            if n_words > 1:
-                keys.append(word[:, c].astype(np.min_scalar_type(n_words)))
-            quarters = np.ascontiguousarray(mask[:, c], "<u8").view("<u2").reshape(-1, 4)[:, ::-1]
-            keys.append(~np.ascontiguousarray(_REVERSED[quarters]).view("<u8").ravel())  # bits reversed
-        order = np.argsort(keys[-1])
-        for key in keys[-2::-1]:
-            order = order[np.argsort(key[order], kind="stable")]
-        tree, word, mask, weights = (np.take(a, order, axis=0) for a in (tree, word, mask, weights))
+        # np.lexsort sorts by its last key first: the tree, then each word that holds ranks,
+        # its bits reversed and inverted so that a row holding a lower rank sorts first.
+        words = np.flatnonzero(mask.any(axis=0))
+        quarters = np.ascontiguousarray(mask[:, words], "<u8").view("<u2").reshape(len(mask), -1, 4)[:, :, ::-1]
+        keys = ~np.ascontiguousarray(_REVERSED[quarters]).view("<u8")[:, :, 0]
+        order = np.lexsort([*keys.T[::-1], tree])
+        tree, mask, weights = (np.take(a, order, axis=0) for a in (tree, mask, weights))
         # Ranks a row shares with the row before add no node; an equal row merges.
         same, shared = tree[1:] == tree[:-1], np.zeros(len(tree) - 1, np.int64)
-        for c in range(mask.shape[1]):
-            differ = mask[1:, c] ^ mask[:-1, c]
-            same &= word[1:, c] == word[:-1, c]
-            shared += np.where(same, np.bitwise_count(mask[1:, c] & ((differ & -differ) - 1)), 0)
+        for w in words:
+            differ = mask[1:, w] ^ mask[:-1, w]
+            shared += np.where(same, np.bitwise_count(mask[1:, w] & ((differ & -differ) - 1)), 0)
             same &= differ == 0
         size -= int(shared.sum())
-        del keys, order, shared
+        del quarters, keys, order, shared
         first = np.flatnonzero(np.concatenate([[True], ~same]))
         weights = np.add.reduceat(weights, first, dtype=np.int32)
-        tree, word, mask = tree[first], word[first], mask[first]
+        tree, mask = tree[first], mask[first]
     out, trees = np.empty((3, size), np.int32), np.empty(size, tree.dtype)  # out: parent, rank, count
-    words, paths = np.zeros((size, mask.shape[1]), word.dtype), np.zeros((size, mask.shape[1]), np.uint64)
+    paths = np.zeros((size, n_words), np.uint64)
     out[0, :n_trees], out[1:, :n_trees], trees[:n_trees] = np.arange(n_trees), [[pad], [0]], np.arange(n_trees)
-    # Per live row: index, cell, the cell's rank 0, weight; its node, its cell's ranks left.
-    state = np.stack([np.arange(len(tree)), 0 * weights, word[:, 0] * np.int32(64), weights], axis=1).astype(np.int32)
-    node, bits, n_nodes = tree.astype(np.int32), mask[:, 0].copy(), n_trees
+    # Per live row: its index, node and weight, its word and that word's ranks left.
+    row, node, at, n_nodes = np.arange(len(tree)), tree.astype(np.int32), (mask != 0).argmax(axis=1), n_trees
+    bits, spans = mask[row, at], np.count_nonzero(mask) > len(mask)  # spans: some row holds ranks in two words
+    if spans:  # ahead[i, w]: row i's first word from w on that holds ranks, n_words if none
+        ahead = np.where(mask != 0, np.arange(n_words, dtype=np.min_scalar_type(n_words)), n_words)
+        ahead = np.minimum.accumulate(ahead[:, ::-1], axis=1)[:, ::-1]
     while len(bits):
-        row, at, base, weights = state.T
         low = bits & -bits
-        ranks = base + np.bitwise_count(low - 1)
+        ranks = at.astype(np.int32) * 64 + np.bitwise_count(low - 1)
         bits ^= low
         differs = np.ones(len(bits), bool)
         differs[1:] = (node[1:] != node[:-1]) | (ranks[1:] != ranks[:-1])
         first = np.flatnonzero(differs)
         up, new = node[first], slice(n_nodes, n_nodes + len(first))
         out[:, new] = up, ranks[first], np.add.reduceat(weights, first)
-        trees[new], cell = trees[up], np.arange(mask.shape[1]) == at[first, None]  # the new rank's cell
-        np.bitwise_or(np.take(paths, up, axis=0), np.where(cell, low[first, None], 0), out=paths[new])
-        if n_words > 1:
-            words[new] = np.where(cell, base[first, None] >> 6, words[up])
+        trees[new] = trees[up]
+        np.take(paths[:n_nodes], up, axis=0, out=paths[new], mode="clip")  # "raise" would buffer; none is clipped
+        paths.ravel()[np.arange(new.start, new.stop) * n_words + at[first]] |= low[first]
         node = np.cumsum(differs, dtype=np.int32) + np.int32(n_nodes - 1)
         n_nodes += len(first)
-        if mask.shape[1] > 1:  # a row whose cell is spent goes on to its next
-            spent = np.flatnonzero((bits == 0) & (at < mask.shape[1] - 1))
-            at[spent] += 1
-            bits[spent], base[spent] = mask[row[spent], at[spent]], word[row[spent], at[spent]] * np.int32(64)
+        if spans:  # a row whose word is spent skips to its next word that holds ranks
+            spent = np.flatnonzero((bits == 0) & (at < n_words - 1))
+            spent = spent[ahead[row[spent], at[spent] + 1] < n_words]
+            at[spent] = ahead[row[spent], at[spent] + 1]
+            bits[spent] = mask[row[spent], at[spent]]
         live = np.flatnonzero(bits)
-        state, node, bits = np.take(state, live, axis=0), node[live], bits[live]
-    return *out, trees, words, paths
+        row, node, weights, at, bits = row[live], node[live], weights[live], at[live], bits[live]
+    return *out, trees, paths
 
 
 def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
@@ -154,27 +146,21 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
     if db.n_transactions == 0:
         raise ValueError("empty transaction database")
     min_count = support_cutoff(min_support, db.n_transactions)
-    lengths = db.lengths
     totals = np.bincount(db.flat, minlength=db.n_items)
     by_count = np.argsort(-totals, kind="stable")  # ties by ascending item id
     ordered = by_count[totals[by_count] >= min_count]
-    n_ranks, n_words = len(ordered), -(-len(ordered) // 64)
+    n_ranks = len(ordered)
     rank_of = np.full(db.n_items, n_ranks, np.int32)
     rank_of[ordered] = np.arange(n_ranks, dtype=np.int32)
-    # Each transaction's path, one item column at a time; a rank joins its word's cell.
-    word = np.full((db.n_transactions, max(1, min(int(lengths.max()), n_words))), n_words, np.min_scalar_type(n_words))
-    mask, n_cells = np.zeros(word.shape, np.uint64), np.zeros(db.n_transactions, np.intp)
-    starts = np.cumsum(lengths) - lengths
-    for j in range(lengths.max()):
-        rows = np.flatnonzero(lengths > j)
+    # Each transaction's path, one item column at a time; a rank sets its bit in its word.
+    mask, starts = np.zeros((db.n_transactions, max(1, -(-n_ranks // 64))), np.uint64), np.cumsum(db.lengths) - db.lengths
+    for j in range(db.lengths.max()):
+        rows = np.flatnonzero(db.lengths > j)
         ranks = rank_of[db.flat[starts[rows] + j]]
         rows, ranks = rows[ranks < n_ranks], ranks[ranks < n_ranks]
-        same = word[rows] == (ranks >> 6)[:, None]
-        cell = rows * word.shape[1] + np.where(same.any(1), same.argmax(1), n_cells[rows])
-        n_cells[rows] += ~same.any(1)
-        word.ravel()[cell], mask.ravel()[cell] = ranks >> 6, mask.ravel()[cell] | np.uint64(1) << (ranks & 63).astype(np.uint64)
+        mask.ravel()[rows * mask.shape[1] + (ranks >> 6)] |= np.uint64(1) << (ranks & 63).astype(np.uint64)
     return FPTree(ordered.tolist(), np.zeros((1, 0), np.int64), totals[None, ordered], *_trie(
-        np.zeros(db.n_transactions, np.int32), word, mask, np.ones(db.n_transactions, np.int32), 1, n_ranks))
+        np.zeros(db.n_transactions, np.int32), mask, np.ones(db.n_transactions, np.int32), 1, n_ranks))
 
 
 def _project(tree: FPTree, nodes: np.ndarray, pair: np.ndarray, suffix: np.ndarray,
@@ -191,26 +177,26 @@ def _project(tree: FPTree, nodes: np.ndarray, pair: np.ndarray, suffix: np.ndarr
     nodes = nodes[tree.parent[nodes] >= len(tree.suffix)]
     kept = np.zeros((n_trees, 64 * n_words), bool)
     if len(nodes):
-        up = tree.parent[nodes]
-        word, mask = tree.word[up, :n_words], tree.mask[up, :n_words]
+        mask = tree.mask[tree.parent[nodes], :n_words]
         new_tree, weights = pair[tree.tree[nodes], tree.rank[nodes]], tree.count[nodes]
-        # Totals: per b-bit digit in use, a bincount over (tree, word, digit) and a bit table;
-        # bytes unless their bins outnumber the cells plus a numpy call's cost (about 8192
-        # elements). Sums stay below 2**53, so are exact; an empty cell's word can be any.
-        b, word = 8 if 256 * n_trees * n_words < mask.size + 8192 else 4, np.minimum(word, n_words - 1)
-        key = ((new_tree[:, None].astype(np.intp) * n_words + word) << b).ravel()
-        cells, cell_weights, totals = mask.ravel(), np.repeat(weights, mask.shape[1]), np.zeros((n_trees, 64 * n_words))
-        used = int(np.bitwise_or.reduce(cells))
+        # Totals: per b-bit digit in use, a bincount over (tree, word, digit) of the words that
+        # hold ranks and a bit table; bytes unless their bins outnumber those words plus a numpy
+        # call's cost (about 8192 elements). Sums stay below 2**53, so are exact.
+        held = np.flatnonzero(mask)
+        row, words = held // n_words, mask.ravel()[held]
+        b, totals = 8 if 256 * n_trees * n_words < len(row) + 8192 else 4, np.zeros((n_trees, 64 * n_words))
+        key, word_weights = (new_tree[row].astype(np.intp) * n_words + held % n_words) << b, weights[row]
+        used = int(np.bitwise_or.reduce(words))
         for q in [q for q in range(0, 64, b) if used >> q & ((1 << b) - 1)]:
-            sums = np.bincount(key + (cells >> q & (1 << b) - 1).astype(np.intp), cell_weights, n_trees * n_words << b)
+            sums = np.bincount(key + (words >> q & (1 << b) - 1).astype(np.intp), word_weights, n_trees * n_words << b)
             totals.reshape(-1, 64)[:, q:q + b] = sums.reshape(-1, 1 << b) @ _BITS[b]
         kept = totals >= min_count
     if not kept.any():
         return FPTree(tree.items, suffix[:0], np.zeros((0, pad), np.int64), *(a[:0] for a in tree[3:]))
-    mask &= np.packbits(kept, axis=1, bitorder="little").view("<u8")[new_tree[:, None], word]
+    mask &= np.packbits(kept, axis=1, bitorder="little").view("<u8")[new_tree]
     has_items = kept.any(axis=1)
     return FPTree(tree.items, suffix[has_items], np.where(kept, totals, 0)[has_items, :pad].astype(np.int64),
-                  *_trie((np.cumsum(has_items) - 1)[new_tree], word, mask, weights, int(has_items.sum()), pad))
+                  *_trie((np.cumsum(has_items) - 1)[new_tree], mask, weights, int(has_items.sum()), pad))
 
 
 def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTree]:

@@ -108,19 +108,19 @@ def check_definition(tree, paths, order, min_count):
 
 
 def check_paths(forest):
-    """Each node's tree and path cells against a walk up its parents: one cell
-    per word the path uses, nonempty cells first in ascending word order."""
+    """Each node's tree and path words against a walk up its parents: column
+    w of its mask holds the ranks 64w to 64w + 63 on the walk, one column per
+    word below the padding rank, at least one."""
     n_trees, parent, rank = len(forest.suffix), forest.parent.tolist(), forest.rank.tolist()
+    n_words = max(1, -(-forest.totals.shape[1] // 64))
+    assert forest.mask.shape == (len(parent), n_words)
     for node in range(len(parent)):
-        words, up = {}, node
+        words, up = [0] * n_words, node
         while up >= n_trees:
-            words[rank[up] // 64] = words.get(rank[up] // 64, 0) | 1 << rank[up] % 64
+            words[rank[up] // 64] |= 1 << rank[up] % 64
             up = parent[up]
         assert forest.tree[node] == up
-        n_cells = len(words)
-        assert (forest.mask[node, :n_cells] != 0).all() and (forest.mask[node, n_cells:] == 0).all()
-        assert forest.word[node, :n_cells].tolist() == sorted(words)
-        assert forest.mask[node, :n_cells].tolist() == [words[w] for w in sorted(words)]
+        assert forest.mask[node].tolist() == words
 
 
 def check_tree(db, min_support, array_tree):
@@ -327,14 +327,28 @@ def test_forests_match_the_walk(db, min_support, max_len):
     check_against_the_walk(db, min_support, max_len)
 
 
-@pytest.mark.parametrize("n_ranks", [63, 64, 65, 128, 129])
-def test_forests_match_the_walk_at_mask_word_boundaries(n_ranks):
-    db = wide_db(0, n_items=n_ranks, n_transactions=400)
-    tree = check_against_the_walk(db, 0.0025)
-    assert len(tree.items) == n_ranks
-    assert (tree.mask.shape[1] > 1) == (n_ranks > 64)  # some path spans two words
+# 140 items and the rows (0, 130) and (1, 70, 135); singleton rows, one of item i
+# for each of the bounds 70, 130, 135 and 140 above i, rank every item at its own
+# id. So the path of (0, 130) has ranks in words 0 and 2 and none in word 1.
+SKIPS_A_WORD = TransactionDb(((0, 130), (1, 70, 135), *((i,) for n in (70, 130, 135, 140) for i in range(n))),
+                             n_items=140)
+
+
+@pytest.mark.parametrize("db", [
+    *(pytest.param(wide_db(0, n_items=n_ranks, n_transactions=400), id=str(n_ranks)) for n_ranks in (63, 64, 65, 128, 129)),
+    pytest.param(SKIPS_A_WORD, id="skips-a-word"),
+])
+def test_forests_match_the_walk_at_mask_word_boundaries(db):
+    min_support = 0.002  # a count cutoff of 1 on 400 and on 477 rows
+    tree = check_against_the_walk(db, min_support)
+    assert len(tree.items) == db.n_items and tree.mask.shape[1] == -(-db.n_items // 64)
+    if db is SKIPS_A_WORD:  # the node of 130 under 0, at ranks 0 and 130
+        skips = (tree.mask[:, 0] != 0) & (tree.mask[:, 1] == 0) & (tree.mask[:, 2] != 0)
+        assert tree.mask[skips].tolist() == [[1, 0, 1 << 2]]
+    check_tree(db, min_support, tree)
     check_forests(tree, 1)
-    assert as_pairs(mine_fpgrowth(db, 0.0025)) == subset_counts(db, 1)
+    assert as_pairs(mine_fpgrowth(db, min_support)) == subset_counts(db, 1) == as_pairs(
+        mine_apriori(db, MinerConfig(min_support)))
 
 
 def test_root_view_needs_a_single_tree():
