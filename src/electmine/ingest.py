@@ -15,18 +15,23 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
 import yaml
 
-from .model import ItemDictionary, TransactionDb, encode_labels
+from .model import ItemDictionary, TransactionDb
 
 CATEGORICAL = "categorical"
 NUMERIC_BINNED = "numeric_binned"
 DROP = "drop"
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "na", "nan"})
+
+CHUNK_ROWS = 512  # rows load reads, looks up and encodes at a time
 
 @dataclass(frozen=True)
 class Bin:
@@ -196,52 +201,166 @@ def load_schema(path: str | Path) -> SchemaSpec:
 
 
 def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, TransactionDb, CleanReport]:
-    """Read, clean, select and encode the survey CSV in one pass.
+    """Read, clean, select and encode the survey CSV, CHUNK_ROWS rows at a time.
 
     The result equals load_csv, clean (with the schema's consistency rules),
     select_features (with the schema's keep list, or every non-drop column)
     and encode_rows in turn, and the report also lists the ignored header
-    columns. No row is kept as a dict: its rule is decided first from the
-    memoised stripped cells, and a dropped row counts only its missing
-    cells. Each column keeps a memo from raw cell to outcome, so each
-    distinct cell is stripped, checked and binned once, and memory is
-    bounded by the distinct cells plus the transactions.
+    columns. No row is kept as a dict, and no Python loop runs per cell:
+    each column maps its raw cells to small int codes, one lookup loop in C
+    per column and chunk, and a distinct cell is stripped, checked and
+    binned once, when its code is made. numpy does the rest on the code
+    arrays and per-code tables: it picks each row's consistency rule,
+    tallies the report, rejects an empty kept answer and gathers, sorts and
+    cuts the item ids of the kept rows. Memory is bounded by the distinct
+    cells plus the transactions plus one chunk of rows.
+
+    Faults come in file order: rows read before a malformed, oversized or
+    non-UTF-8 line are checked before its error is raised.
     """
     report = CleanReport()
-    cells = _cell_memos(schema)
+    codes = _cell_codes(schema)
     keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != DROP)
+    items = _Items()
+    transactions: list[tuple[int, ...]] = []
     with _reading(path) as reader:
         positions, report.ignored_columns, width = _header(reader, path, schema)
-        # Keep columns first and in keep order, since item ids follow it.
-        order = [name for name in keep if name in positions]
-        order += [name for name in positions if name not in keep]
-        columns = [(name, positions[name], name in keep, cells[name]) for name in order]
-        # Each rule's (cell position, column memo, value) conjuncts; a missing cell strips to None.
-        rules = [(r.description, [(positions[n], cells[n], v) for n, v in r.conjuncts]) for r in schema.consistency_rules]
+        tested = [(name, value) for r in schema.consistency_rules for name, value in r.conjuncts]
+        columns = {name: _Column(pos, codes[name], {v for n, v in tested if n == name})
+                   for name, pos in positions.items()}
+        kept = [columns[name] for name in keep]  # item ids follow keep order
+        rules = [(r.description, [(columns[n], v) for n, v in r.conjuncts]) for r in schema.consistency_rules]
+        records = _records(reader, path, width)
+        start = 0  # records before this chunk
+        while True:
+            rows: list[list[str]] = []
+            try:
+                rows.extend(islice(records, CHUNK_ROWS))  # keeps the rows read before a fault
+                fault = None
+            except (ValueError, csv.Error) as exc:
+                fault = exc
+            rows_kept, cells = _tally(rows, columns, kept, rules, report)
+            empty = _lookup([col.state for col in kept], cells) == EMPTY
+            if empty.any():
+                row, j = divmod(int(empty.argmax()), len(kept))  # the first row, then keep order
+                line = _line_of_record(path, width, start + int(rows_kept[row]))
+                raise ValueError(f"{path}: line {line}: empty value in column {keep[j]!r}")
+            transactions += items.encode(cells, kept)
+            if fault is not None:
+                raise fault
+            if len(rows) < CHUNK_ROWS:
+                break
+            start += len(rows)
+    return ItemDictionary(tuple(items.index)), TransactionDb(tuple(transactions), n_items=len(items.index)), report
 
-        def kept_rows() -> Iterator[list[str]]:
-            for row in _records(reader, path, width):
-                rule = next((d for d, conjuncts in rules if all(memo[row[pos]][0] == v for pos, memo, v in conjuncts)), None)
-                if rule is not None:
-                    report.rows_dropped[rule] += 1
-                labels = []
-                for name, pos, encode, memo in columns:
-                    value, cleaned, label = memo[row[pos]]
-                    if value is None:
-                        report.blanked_cells[name] += 1
-                    elif rule is not None:  # a dropped row counts only its missing cells
-                        continue
-                    elif cleaned is None:
-                        report.out_of_range[name] += 1
-                    elif encode:
-                        if not cleaned:
-                            raise ValueError(f"{path}: line {reader.line_num}: empty value in column {name!r}")
-                        labels.append(label)
-                if rule is None:
-                    yield labels
 
-        dictionary, db = encode_labels(kept_rows())
-    return dictionary, db, report
+MISSING, OUT_OF_RANGE, EMPTY, LABEL = range(4)  # a cell's state, from its _clean_cell outcome
+PENDING = -1  # item id of a cell whose label _Items.encode has not yet looked up
+NO_ITEM = np.iinfo(np.intp).max  # item id of a cell with no label; sorts last
+
+
+class _Column:
+    """One header column's codes and its per-code tables: state, item id
+    and, for each value a rule tests, whether the stripped cell equals it.
+    lookup extends the tables by the codes it makes; they are never
+    rebuilt."""
+
+    def __init__(self, pos: int, codes: _Codes, tested: set[str]):
+        self.pos, self.codes = pos, codes
+        self.state = np.zeros(0, np.int8)
+        self.item = np.zeros(0, np.intp)
+        self.matches = {value: np.zeros(0, bool) for value in tested}
+
+    def lookup(self, rows: list[list[str]]) -> np.ndarray:
+        """The codes of the column's cells in rows."""
+        codes = np.fromiter(map(self.codes.__getitem__, map(itemgetter(self.pos), rows)), np.intp, len(rows))
+        new = self.codes.outcomes[len(self.state):]
+        if not new:
+            return codes
+        states = np.array([MISSING if v is None else OUT_OF_RANGE if c is None else LABEL if c else EMPTY
+                           for v, c, _ in new], np.int8)
+        self.state = np.concatenate([self.state, states])
+        self.item = np.concatenate([self.item, np.where(states == LABEL, PENDING, NO_ITEM)])
+        for value, table in self.matches.items():
+            self.matches[value] = np.concatenate([table, np.array([v == value for v, _, _ in new], bool)])
+        return codes
+
+
+def _tally(
+    rows: list[list[str]], columns: Mapping[str, _Column], kept: Sequence[_Column],
+    rules: Sequence[tuple[str, Sequence[tuple[_Column, str]]]], report: CleanReport,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Look up a chunk's cells, one column at a time, and add its dropped
+    rows, missing cells (in every row) and out-of-range cells (in rows no
+    rule drops) to report. Returns the indices of the rows no rule drops
+    and their (row x kept column) code matrix."""
+    codes = {col: col.lookup(rows) for col in columns.values()}
+    # A row's rule is the first whose every conjunct matches its stripped cells.
+    rule = np.full(len(rows), len(rules))
+    for i in reversed(range(len(rules))):
+        hit = np.ones(len(rows), bool)
+        for col, value in rules[i][1]:
+            hit &= col.matches[value][codes[col]]
+        rule[hit] = i
+    for (description, _), count in zip(rules, np.bincount(rule, minlength=len(rules)).tolist()):
+        if count:  # as_text prints every key
+            report.rows_dropped[description] += count
+    rows_kept = np.flatnonzero(rule == len(rules))
+    for name, col in columns.items():
+        for tally, state, at in ((report.blanked_cells, MISSING, codes[col]),
+                                 (report.out_of_range, OUT_OF_RANGE, codes[col][rows_kept])):
+            count = int(np.count_nonzero(col.state[at] == state))
+            if count:
+                tally[name] += count
+    cells = np.empty((len(rows_kept), len(kept)), np.intp)
+    for j, col in enumerate(kept):
+        cells[:, j] = codes[col][rows_kept]
+    return rows_kept, cells
+
+
+def _lookup(tables: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """Column j of a code matrix looked up in tables[j]."""
+    out = np.empty(cells.shape, tables[0].dtype if tables else np.intp)
+    for j, table in enumerate(tables):
+        out[:, j] = table[cells[:, j]]
+    return out
+
+
+class _Items:
+    """Item ids in first-encounter order: index maps each label to its id,
+    and ids holds one int object per id, which every transaction shares."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.ids = np.zeros(0, object)
+
+    def encode(self, cells: np.ndarray, kept: Sequence[_Column]) -> list[tuple[int, ...]]:
+        """The transactions of a (kept rows x kept columns) code matrix. A
+        label new to index gets the next id in first-encounter order: by
+        row, then in keep order; two codes with one label share its id."""
+        items = _lookup([col.item for col in kept], cells)
+        pending = np.flatnonzero(items == PENDING)  # row-major, so in first-encounter order
+        if len(pending):
+            col_of, code_of = pending % len(kept), cells.ravel()[pending]
+            first = np.sort(np.unique(code_of * len(kept) + col_of, return_index=True)[1])
+            for j, code in zip(col_of[first].tolist(), code_of[first].tolist()):
+                kept[j].item[code] = self.index.setdefault(kept[j].codes.outcomes[code][2], len(self.index))
+            items = _lookup([col.item for col in kept], cells)
+            self.ids = np.concatenate([self.ids, np.arange(len(self.ids), len(self.index)).astype(object)])
+        items.sort(axis=1)
+        labelled = items != NO_ITEM
+        flat = self.ids[items[labelled]].tolist()
+        ends = np.cumsum(np.count_nonzero(labelled, axis=1)).tolist()
+        return [tuple(flat[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+def _line_of_record(path: str | Path, width: int, record: int) -> int:
+    """The line a record ends on, counting records from 0 after the
+    header; only an error message needs it, so the file is read again."""
+    with _reading(path) as reader:
+        next(reader)
+        next(islice(_records(reader, path, width), record, None))
+        return reader.line_num
 
 
 def load_csv(path: str | Path, schema: SchemaSpec) -> LoadResult:
@@ -347,28 +466,30 @@ def _clean_cell(
     return value, cleaned, f"{name}_{cleaned}"
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fill(key), so fill runs once
-    per distinct key."""
+class _Codes(dict):
+    """A dict from raw cell to a small int code, in first-seen order;
+    outcomes[code] is fill(raw cell), so fill runs once per distinct cell."""
 
     def __init__(self, fill: Callable[[str], tuple]):
         super().__init__()
         self.fill = fill
+        self.outcomes: list[tuple] = []
 
-    def __missing__(self, key: str) -> tuple:
-        value = self[key] = self.fill(key)
-        return value
+    def __missing__(self, key: str) -> int:
+        self.outcomes.append(self.fill(key))
+        code = self[key] = len(self.outcomes) - 1
+        return code
 
 
-def _cell_memos(schema: SchemaSpec) -> dict[str, _Memo]:
-    """A memo from raw cell to _clean_cell outcome for each schema column."""
-    memos = {}
+def _cell_codes(schema: SchemaSpec) -> dict[str, _Codes]:
+    """Codes of raw cells, with their _clean_cell outcomes, for each schema column."""
+    codes = {}
     for col in schema.columns:
-        memos[col.name] = _Memo(partial(
+        codes[col.name] = _Codes(partial(
             _clean_cell, name=col.name, missing=schema.missing_tokens_for(col), bins=col.bins,
             bin_labels=frozenset(b.label for b in col.bins),
         ))
-    return memos
+    return codes
 
 
 def clean(
@@ -384,13 +505,13 @@ def clean(
     labels pass through unchanged.
     """
     report = CleanReport()
-    cells = _cell_memos(schema)
+    cells = _cell_codes(schema)
     cleaned: list[dict[str, str]] = []
     for row in rows:
         stripped: dict[str, str] = {}
         values: dict[str, str | None] = {}
         for name, raw in row.items():
-            value, cleaned_value, _ = cells[name][raw]
+            value, cleaned_value, _ = cells[name].outcomes[cells[name][raw]]
             if value is None:
                 report.blanked_cells[name] += 1
             else:
