@@ -5,10 +5,10 @@ The trees are Han, Pei & Yin's (SIGMOD 2000), held as arrays in forests
 it. Each node holds its root-to-node path as a bitmask of ranks, rank r
 being bit r % 64 of word r // 64, one uint64 column per word of ranks.
 One numpy trie (``_trie``) builds every tree from such paths. The recursion
-runs breadth-first within each root item: one forest holds every
-conditional tree of one search depth below one root item, and one step
-(``_project``) builds the next depth's forest from all of them at once,
-which pays for numpy's per-call cost on the thousands of small deep trees.
+runs breadth-first below runs of root items sized by their nodes: one forest
+holds every conditional tree of one depth below one run, and one step
+(``_project``) builds the next depth's forest from all of them at once, which
+pays for numpy's per-call cost on thousands of small trees.
 
 Produces exactly the same itemsets, counts and output order as the Apriori
 miner, and is cross-checked against it and the brute-force oracle. So that
@@ -29,6 +29,7 @@ _BITS = {b: np.unpackbits(np.arange(1 << b, dtype=np.uint8)[:, None], axis=1, bi
          for b in (4, 8)}
 _REVERSED = np.packbits(_BITS[8].astype(np.uint8), axis=1).ravel()
 _REVERSED = (_REVERSED.astype("<u2") << 8 | _REVERSED[:, None]).ravel()
+NODE_BUDGET = 16_384  # root-tree nodes one step below the root tree projects, unless one item has more
 
 
 class NodeView(NamedTuple):
@@ -164,14 +165,14 @@ def build_fptree(db: TransactionDb, min_support: float) -> FPTree:
 
 
 def _project(tree: FPTree, nodes: np.ndarray, pair: np.ndarray, suffix: np.ndarray,
-             min_count: int) -> FPTree:
+             min_count: int, pad: int) -> FPTree:
     """The forest of the conditional trees of suffix's itemsets: the prefix
     paths of nodes, each weighted by its node's count, a node of rank r in
     tree t bound for new tree pair[t, r]. Every rank on them is below the
-    padding rank ``suffix[0, 0]``. A new tree keeps the ranks whose total
-    reaches min_count, and a tree that keeps none is left out.
+    padding rank pad. A new tree keeps the ranks whose total reaches
+    min_count, and a tree that keeps none is left out.
     """
-    n_trees, pad = len(suffix), int(suffix[0, 0])
+    n_trees = len(suffix)
     n_words = max(1, -(-pad // 64))
     # A prefix path is the parent's path, empty under a root; its ranks are below pad.
     nodes = nodes[tree.parent[nodes] >= len(tree.suffix)]
@@ -181,15 +182,16 @@ def _project(tree: FPTree, nodes: np.ndarray, pair: np.ndarray, suffix: np.ndarr
         new_tree, weights = pair[tree.tree[nodes], tree.rank[nodes]], tree.count[nodes]
         # Totals: per b-bit digit in use, a bincount over (tree, word, digit) of the words that
         # hold ranks and a bit table; bytes unless their bins outnumber those words plus a numpy
-        # call's cost (about 8192 elements). Sums stay below 2**53, so are exact.
+        # call's cost (about 8192 elements). Sums are exact and, like node counts, fit int32.
         held = np.flatnonzero(mask)
         row, words = held // n_words, mask.ravel()[held]
-        b, totals = 8 if 256 * n_trees * n_words < len(row) + 8192 else 4, np.zeros((n_trees, 64 * n_words))
+        b, totals = 8 if 256 * n_trees * n_words < len(row) + 8192 else 4, np.zeros((n_trees, 64 * n_words), np.int32)
         key, word_weights = (new_tree[row].astype(np.intp) * n_words + held % n_words) << b, weights[row]
         used = int(np.bitwise_or.reduce(words))
         for q in [q for q in range(0, 64, b) if used >> q & ((1 << b) - 1)]:
             sums = np.bincount(key + (words >> q & (1 << b) - 1).astype(np.intp), word_weights, n_trees * n_words << b)
             totals.reshape(-1, 64)[:, q:q + b] = sums.reshape(-1, 1 << b) @ _BITS[b]
+        del held, row, words, key, word_weights  # before _trie's peak
         kept = totals >= min_count
     if not kept.any():
         return FPTree(tree.items, suffix[:0], np.zeros((0, pad), np.int64), *(a[:0] for a in tree[3:]))
@@ -200,15 +202,25 @@ def _project(tree: FPTree, nodes: np.ndarray, pair: np.ndarray, suffix: np.ndarr
 
 
 def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTree]:
-    """tree, then each nonempty forest below its items in rank order, depth
-    by depth, down to the one whose itemsets have max_len items."""
+    """tree, then each nonempty forest below its items, depth by depth, down to
+    the one whose itemsets have max_len items. Consecutive root items share a
+    forest, padded at the largest one's rank, while their header-chain nodes
+    number at most NODE_BUDGET and their trees times that rank at most 2**20."""
     yield tree
     if max_len == 1:
         return
     chains = np.argsort(tree.rank.astype(np.min_scalar_type(len(tree.items))), kind="stable")  # in id order
     bounds = [0, *np.cumsum(np.bincount(tree.rank)).tolist()]
-    for r in range(len(tree.items)):
-        forest = _project(tree, chains[bounds[r]:bounds[r + 1]], np.zeros((1, r + 1), np.int32), np.array([[r]]), min_count)
+    first, n_ranks = 0, len(tree.items)
+    while first < n_ranks:
+        end = first + 1  # the root items of ranks first to end - 1
+        while (end < n_ranks and bounds[end + 1] - bounds[first] <= NODE_BUDGET
+               and (end + 1 - first) * end <= 1 << 20):
+            end += 1
+        pair = np.arange(end, dtype=np.int32)[None] - first  # root item r's tree is r - first
+        forest = _project(tree, chains[bounds[first]:bounds[end]], pair, np.arange(first, end)[:, None],
+                          min_count, end - 1)
+        first = end
         while len(forest.suffix):
             yield forest
             if forest.suffix.shape[1] + 1 == max_len:
@@ -218,7 +230,7 @@ def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTr
             t, k = np.nonzero(kept)
             pair = np.cumsum(kept).reshape(kept.shape) - 1
             forest = _project(forest, np.arange(len(forest.suffix), len(forest.rank)), pair,
-                              np.column_stack([forest.suffix[t], k]), min_count)
+                              np.column_stack([forest.suffix[t], k]), min_count, forest.totals.shape[1])
 
 
 def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,

@@ -211,9 +211,9 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     per column and chunk, and a distinct cell is stripped, checked and
     binned once, when its code is made. numpy does the rest on the code
     arrays and per-code tables: it picks each row's consistency rule,
-    tallies the report, rejects an empty kept answer and gathers, sorts and
-    cuts the item ids of the kept rows. Memory is bounded by the distinct
-    cells plus the transactions plus one chunk of rows.
+    tallies the report, rejects an empty kept answer and gathers and sorts
+    the item ids of the kept rows into the database's arrays. Memory is
+    bounded by the distinct cells plus the item ids plus one chunk of rows.
 
     Faults come in file order: rows read before a malformed, oversized or
     non-UTF-8 line are checked before its error is raised.
@@ -221,8 +221,8 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     report = CleanReport()
     codes = _cell_codes(schema)
     keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != DROP)
-    items = _Items()
-    transactions: list[tuple[int, ...]] = []
+    index: dict[str, int] = {}  # item label -> id, in first-encounter order
+    chunks = []  # each chunk's (item ids, row lengths)
     with _reading(path) as reader:
         positions, report.ignored_columns, width = _header(reader, path, schema)
         tested = [(name, value) for r in schema.consistency_rules for name, value in r.conjuncts]
@@ -245,17 +245,17 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                 row, j = divmod(int(empty.argmax()), len(kept))  # the first row, then keep order
                 line = _line_of_record(path, width, start + int(rows_kept[row]))
                 raise ValueError(f"{path}: line {line}: empty value in column {keep[j]!r}")
-            transactions += items.encode(cells, kept)
+            chunks.append(_encode(index, cells, kept))
             if fault is not None:
                 raise fault
             if len(rows) < CHUNK_ROWS:
                 break
             start += len(rows)
-    return ItemDictionary(tuple(items.index)), TransactionDb(tuple(transactions), n_items=len(items.index)), report
+    return ItemDictionary(tuple(index)), TransactionDb.from_arrays(*map(np.concatenate, zip(*chunks)), len(index)), report
 
 
 MISSING, OUT_OF_RANGE, EMPTY, LABEL = range(4)  # a cell's state, from its _clean_cell outcome
-PENDING = -1  # item id of a cell whose label _Items.encode has not yet looked up
+PENDING = -1  # item id of a cell whose label _encode has not yet looked up
 NO_ITEM = np.iinfo(np.intp).max  # item id of a cell with no label; sorts last
 
 
@@ -326,32 +326,22 @@ def _lookup(tables: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Items:
-    """Item ids in first-encounter order: index maps each label to its id,
-    and ids holds one int object per id, which every transaction shares."""
-
-    def __init__(self):
-        self.index: dict[str, int] = {}
-        self.ids = np.zeros(0, object)
-
-    def encode(self, cells: np.ndarray, kept: Sequence[_Column]) -> list[tuple[int, ...]]:
-        """The transactions of a (kept rows x kept columns) code matrix. A
-        label new to index gets the next id in first-encounter order: by
-        row, then in keep order; two codes with one label share its id."""
+def _encode(index: dict[str, int], cells: np.ndarray, kept: Sequence[_Column]) -> tuple[np.ndarray, np.ndarray]:
+    """The item ids of a (kept rows x kept columns) code matrix, row after
+    row and sorted in each, in the smallest unsigned dtype for the ids so
+    far, and each row's count. A label new to index gets the next id in
+    first-encounter order: by row, then in keep order; codes of one label share it."""
+    items = _lookup([col.item for col in kept], cells)
+    pending = np.flatnonzero(items == PENDING)  # row-major, so in first-encounter order
+    if len(pending):
+        col_of, code_of = pending % len(kept), cells.ravel()[pending]
+        first = np.sort(np.unique(code_of * len(kept) + col_of, return_index=True)[1])
+        for j, code in zip(col_of[first].tolist(), code_of[first].tolist()):
+            kept[j].item[code] = index.setdefault(kept[j].codes.outcomes[code][2], len(index))
         items = _lookup([col.item for col in kept], cells)
-        pending = np.flatnonzero(items == PENDING)  # row-major, so in first-encounter order
-        if len(pending):
-            col_of, code_of = pending % len(kept), cells.ravel()[pending]
-            first = np.sort(np.unique(code_of * len(kept) + col_of, return_index=True)[1])
-            for j, code in zip(col_of[first].tolist(), code_of[first].tolist()):
-                kept[j].item[code] = self.index.setdefault(kept[j].codes.outcomes[code][2], len(self.index))
-            items = _lookup([col.item for col in kept], cells)
-            self.ids = np.concatenate([self.ids, np.arange(len(self.ids), len(self.index)).astype(object)])
-        items.sort(axis=1)
-        labelled = items != NO_ITEM
-        flat = self.ids[items[labelled]].tolist()
-        ends = np.cumsum(np.count_nonzero(labelled, axis=1)).tolist()
-        return [tuple(flat[start:end]) for start, end in zip([0, *ends], ends)]
+    items.sort(axis=1)
+    labelled = items != NO_ITEM
+    return items[labelled].astype(np.min_scalar_type(max(0, len(index) - 1))), np.count_nonzero(labelled, axis=1)
 
 
 def _line_of_record(path: str | Path, width: int, record: int) -> int:

@@ -9,10 +9,10 @@ always produce identical encodings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -78,29 +78,48 @@ class ItemDictionary:
         return self.labels[item]
 
 
-@dataclass(frozen=True)
 class TransactionDb:
-    """Encoded dataset: transactions are sorted, duplicate-free item-id tuples,
-    flattened and checked once: ``flat`` holds their ids in row order, in the
-    smallest unsigned dtype for n_items - 1, and ``lengths`` their intp sizes."""
+    """Encoded dataset: rows of sorted, duplicate-free item ids, held as two
+    arrays and checked once. ``flat`` holds the ids in row order, in the
+    smallest unsigned dtype for n_items - 1, and ``lengths`` the rows' intp
+    sizes; ``transactions``, the rows as tuples, are the constructor's or
+    built on first read. Equality and the repr are the rows' and n_items'."""
 
-    transactions: tuple[ItemSet, ...]
-    n_items: int
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, transactions: Iterable[Iterable[int]], n_items: int):
+        rows = tuple(map(tuple, transactions))  # tuple() of a tuple returns that tuple
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        self._check(np.fromiter(chain.from_iterable(rows), np.int64, int(lengths.sum())), lengths, n_items)
+        self.__dict__["transactions"] = rows
 
-    def __post_init__(self):
-        # tuple() of a tuple returns that tuple, so rows that are tuples are not copied.
-        object.__setattr__(self, "transactions", tuple(map(tuple, self.transactions)))
-        lengths = np.fromiter(map(len, self.transactions), np.intp, len(self.transactions))
-        flat = np.fromiter(chain.from_iterable(self.transactions), np.int64, int(lengths.sum()))
-        row = np.repeat(np.arange(len(lengths)), lengths)
-        bad = (flat < 0) | (flat >= self.n_items)
-        bad[1:] |= (flat[1:] <= flat[:-1]) & (row[1:] == row[:-1])  # an id may drop where a row starts
+    @classmethod
+    def from_arrays(cls, flat: np.ndarray, lengths: np.ndarray, n_items: int) -> TransactionDb:
+        """The database of the rows that flat, cut at lengths, holds."""
+        db = cls.__new__(cls)
+        db._check(flat, np.asarray(lengths, np.intp), n_items)
+        return db
+
+    def _check(self, flat: np.ndarray, lengths: np.ndarray, n_items: int) -> None:
+        """Keep the arrays, or raise for the first row that is not sorted, duplicate-free
+        and in [0, n_items): vectorised in flat's dtype, with no per-id row index."""
+        bad = np.zeros(len(flat), bool)
+        np.less_equal(flat[1:], flat[:-1], out=bad[1:])
+        ends = np.cumsum(lengths)
+        bad[ends[ends < len(flat)]] = False  # an id may drop where a row starts
+        bad |= flat >= n_items
+        if flat.dtype.kind == "i":
+            bad |= flat < 0
         if bad.any():
-            raise ValueError(f"transaction {row[bad.argmax()]} is not sorted, duplicate-free and in [0, {self.n_items})")
-        object.__setattr__(self, "flat", flat.astype(np.min_scalar_type(max(0, self.n_items - 1))))
-        object.__setattr__(self, "lengths", lengths)
+            row = int(np.searchsorted(ends, bad.argmax(), "right"))
+            raise ValueError(f"transaction {row} is not sorted, duplicate-free and in [0, {n_items})")
+        self.flat = flat.astype(np.min_scalar_type(max(0, n_items - 1)), copy=False)
+        self.lengths, self.n_items, self.n_transactions = lengths, n_items, len(lengths)
+
+    @cached_property
+    def transactions(self) -> tuple[ItemSet, ...]:
+        """The rows as tuples, built on first read from flat, with one int
+        object per item id, which every row shares."""
+        ids = iter(np.arange(self.n_items).astype(object)[self.flat].tolist())
+        return tuple(tuple(islice(ids, n)) for n in self.lengths.tolist())
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -108,9 +127,12 @@ class TransactionDb:
         built on first use: FP-Growth and the oracle never need them."""
         return _kernels.pack(self.lengths, self.flat, self.n_items)
 
-    @property
-    def n_transactions(self) -> int:
-        return len(self.transactions)
+    def __eq__(self, other):
+        return isinstance(other, TransactionDb) and self.n_items == other.n_items and all(
+            map(np.array_equal, (self.lengths, self.flat), (other.lengths, other.flat)))
+
+    def __repr__(self) -> str:
+        return f"TransactionDb(transactions={self.transactions!r}, n_items={self.n_items!r})"
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ The oracle counts every subset of the item universe at once: it tallies each
 transaction's item bitmask, then sums every subset's supersets (the fast
 zeta transform), so its time and memory go with 2^n_items, not with rows.
 It shares nothing with the miners' counting paths (no kernel, no FP-tree; it
-reads `db.transactions`, not the flat arrays the miners read), so a fault in
-any of them shows as divergent. The threshold predicate, the support cutoff,
-the rule constructor and the rule order are shared on purpose: they are the
-rule contract, not part of the counting route or of the split enumeration.
+reads `db.transactions`), so a fault in either shows as divergent. `load`'s
+tuples come from the flat arrays the miners read; its test against the four
+step functions and `TransactionDb`'s own check guard those arrays. The
+threshold predicate, the support cutoff, the rule constructor and the rule
+order are shared on purpose: they are the rule contract, not part of the
+counting route or of the split enumeration.
 """
 
 from __future__ import annotations

@@ -150,12 +150,14 @@ def check_forests(tree, min_count, max_len=None):
     against its definition: each is built from its parent tree's prefix
     paths of its last conditioning item, and each nonempty one whose
     itemsets are at most max_len long is built, none longer. The first
-    forest is tree itself, the root tree."""
+    forest is tree itself, the root tree; every rank on a forest's paths is
+    below its padding rank, however the forests group the trees."""
     built = {}
     for forest in fpgrowth._forests(tree, min_count, max_len):
         assert built or forest is tree
         n_trees, pad = len(forest.suffix), forest.totals.shape[1]
-        assert pad == (int(forest.suffix[0, 0]) if built else len(tree.items))
+        assert built or pad == len(tree.items)
+        assert (forest.rank[n_trees:] < pad).all()
         assert (forest.parent[:n_trees] == np.arange(n_trees)).all() and (forest.rank[:n_trees] == pad).all()
         assert (forest.parent[n_trees:] < np.arange(n_trees, len(forest.rank))).all()
         check_paths(forest)
@@ -304,26 +306,76 @@ def test_more_items_than_a_byte_ranks(seed):
     assert as_pairs(mine_fptree(tree, min_support, db.n_transactions)) == expected
 
 
+ARRAYS = ("suffix", "totals", "parent", "rank", "count")
+
+
+def trees_by_suffix(forests):
+    """Every tree of the forests, keyed by its suffix: its nonzero totals by
+    rank and its nodes in id order, the root first, as parents numbered
+    within the tree, ranks (the root's padding rank left out) and counts.
+    Forests may group the trees in any way; a suffix is built once."""
+    out = {}
+    for forest in forests:
+        n_trees = len(forest.suffix)
+        tree_of = list(range(n_trees))  # each node's tree: the root a walk up reaches
+        for up in forest.parent[n_trees:].tolist():
+            tree_of.append(tree_of[up])
+        tree_of = np.array(tree_of)
+        for t, suffix in enumerate(map(tuple, forest.suffix.tolist())):
+            nodes = np.flatnonzero(tree_of == t)
+            assert suffix not in out
+            out[suffix] = ({r: int(forest.totals[t, r]) for r in np.flatnonzero(forest.totals[t]).tolist()},
+                           np.searchsorted(nodes, forest.parent[nodes]).tolist(),
+                           forest.rank[nodes[1:]].tolist(), forest.count[nodes].tolist())
+    return out
+
+
 def check_against_the_walk(db, min_support, max_len=None):
-    """_forests against reference_forests, array for array."""
+    """_forests against reference_forests, which builds one root item's
+    trees at a time: the root tree array for array, and every conditional
+    tree, keyed by its suffix, node for node in the same relative order."""
     tree = build_fptree(db, min_support)
     forests = list(fpgrowth._forests(tree, support_cutoff(min_support, db.n_transactions), max_len))
     reference = list(reference_forests(db, min_support, max_len))
-    assert len(forests) == len(reference)
-    for forest, walked in zip(forests, reference):
-        assert forest.items == walked.items
-        for name in ("suffix", "totals", "parent", "rank", "count"):
-            got, want = getattr(forest, name), getattr(walked, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for name in ARRAYS:
+        assert np.array_equal(getattr(forests[0], name), getattr(reference[0], name)), name
+        assert {getattr(f, name).dtype for f in forests} == {getattr(f, name).dtype for f in reference}, name
+    assert all(forest.items == tree.items for forest in forests + reference)
+    assert trees_by_suffix(forests) == trees_by_suffix(reference)
     return tree
+
+
+@pytest.mark.parametrize("budget", ["one", "a third"])
+def test_node_budget_changes_only_the_grouping(budget):
+    """At any node budget the forests hold the same trees and mine the same
+    list. At a budget of 1 each root item has its forest, as in the walk,
+    so every forest matches it array for array."""
+    db, min_support = wide_db(0), 0.002
+    min_count = support_cutoff(min_support, db.n_transactions)
+    tree = build_fptree(db, min_support)
+    expected = as_pairs(mine_fptree(tree, min_support, db.n_transactions))
+    limit = 1 if budget == "one" else len(tree.rank) // 3
+    with mock.patch.object(fpgrowth, "NODE_BUDGET", limit):
+        forests = list(fpgrowth._forests(tree, min_count, None))
+        assert as_pairs(mine_fptree(tree, min_support, db.n_transactions)) == expected
+    reference = list(reference_forests(db, min_support))
+    assert trees_by_suffix(forests) == trees_by_suffix(reference)
+    if budget == "one":
+        assert len(forests) == len(reference)
+        for forest, walked in zip(forests, reference):
+            for name in ARRAYS:
+                assert np.array_equal(getattr(forest, name), getattr(walked, name)), name
+    else:  # the budget splits the root items partway
+        first_depth = [f for f in forests if f.suffix.shape[1] == 1]
+        assert 1 < len(first_depth) < len(tree.items) / 10
 
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]), st.sampled_from([None, 1, 2, 3]))
 @example(TransactionDb(((0, 1), (), (0, 1, 2), ()), n_items=3), 0.25, None)  # empty transactions
 @example(TransactionDb(((0, 1), (1, 2), (0, 2)), n_items=3), 1.0, None)  # nothing frequent
 def test_forests_match_the_walk(db, min_support, max_len):
-    """Node paths read off the masks build the same forests, node ids
-    included, as walking every node up its parents did."""
+    """Node paths read off the masks build the same trees, nodes in the
+    same order, as walking every node up its parents did."""
     check_against_the_walk(db, min_support, max_len)
 
 

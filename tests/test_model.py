@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 
@@ -125,6 +126,49 @@ def test_flat_check_matches_the_per_row_check(case):
     else:
         with pytest.raises(ValueError, match=f"^transaction {faulty} "):
             TransactionDb(tuple(rows), n_items)
+
+
+@given(small_dbs())
+def test_array_constructor_gives_the_same_database(db):
+    # A database from its own arrays equals it and builds the same tuples,
+    # one int object per item id.
+    again = TransactionDb.from_arrays(db.flat, db.lengths, db.n_items)
+    assert again == db and repr(again) == repr(db) and again.n_transactions == db.n_transactions
+    assert again.transactions == db.transactions
+    assert len({id(i) for t in again.transactions for i in t}) == len(set(again.flat.tolist()))
+
+
+@given(random_rows)
+@example(([(0, 2), (1,)], 3))
+@example(([(2,), (), (1,)], 3))
+@example(([(), (), (0, 0)], 1))
+def test_array_constructor_checks_as_the_rows_do(case):
+    rows, n_items = case
+    faulty = old_row_check(rows, n_items)
+    lengths = [len(t) for t in rows]
+    ids = list(chain.from_iterable(rows))
+    flats = [np.array(ids, np.int64)] + ([np.array(ids, np.uint8)] if min(ids, default=0) >= 0 else [])
+    for flat in flats:
+        if faulty is None:
+            assert TransactionDb.from_arrays(flat, lengths, n_items) == TransactionDb(tuple(rows), n_items)
+        else:
+            with pytest.raises(ValueError, match=f"^transaction {faulty} is not sorted, duplicate-free and in "):
+                TransactionDb.from_arrays(flat, lengths, n_items)
+
+
+def test_array_check_needs_no_copy_of_the_ids():
+    # 600,000 uint8 ids in 50,000 rows, about as ingest hands over the SPAE
+    # input: the check's temporaries stay under 4 bytes an id.
+    lengths = np.full(50_000, 12, np.intp)
+    flat = np.tile(np.arange(0, 48, 4, dtype=np.uint8), 50_000)
+    tracemalloc.start()
+    try:
+        db = TransactionDb.from_arrays(flat, lengths, 54)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert db.flat is flat and db.lengths is lengths
+    assert peak <= 4 * len(flat)
 
 
 @pytest.mark.parametrize("make", [
