@@ -58,6 +58,8 @@ class ColumnSpec:
             if not self.bins:
                 raise ValueError(f"column {self.name!r}: numeric_binned needs bins")
             labels = [b.label for b in self.bins]
+            if "" in labels:  # its cells would be empty answers
+                raise ValueError(f"column {self.name!r}: a bin label is empty")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"column {self.name!r}: bin labels not unique")
             for b in self.bins:
@@ -210,13 +212,18 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     each column maps its raw cells to small int codes, one lookup loop in C
     per column and chunk, and a distinct cell is stripped, checked and
     binned once, when its code is made. numpy does the rest on the code
-    arrays and per-code tables: it picks each row's consistency rule,
-    tallies the report, rejects an empty kept answer and gathers and sorts
-    the item ids of the kept rows into the database's arrays. Memory is
-    bounded by the distinct cells plus the item ids plus one chunk of rows.
+    arrays and per-code tables, one item table per column whose negative
+    entries say why a code has no item: it picks each row's consistency
+    rule, tallies the report, rejects an empty kept answer and gathers and
+    sorts the item ids of the kept rows into the database's arrays. Memory
+    is bounded by the distinct cells plus the item ids plus one chunk of rows.
 
-    Faults come in file order: rows read before a malformed, oversized or
-    non-UTF-8 line are checked before its error is raised.
+    The input is read once, so it may be a pipe: an error's line number
+    comes from that read. Faults come in file order. Rows read before a
+    malformed or oversized line are checked before its error is raised.
+    Text is decoded in blocks of 8,192 bytes (a pipe may give fewer), and a
+    non-UTF-8 byte fails its whole block, so the rows checked before its
+    error are those whose lines end in an earlier block.
     """
     report = CleanReport()
     codes = _cell_codes(schema)
@@ -230,57 +237,52 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                    for name, pos in positions.items()}
         kept = [columns[name] for name in keep]  # item ids follow keep order
         rules = [(r.description, [(columns[n], v) for n, v in r.conjuncts]) for r in schema.consistency_rules]
-        records = _records(reader, path, width)
-        start = 0  # records before this chunk
+        ends: list[int] = []  # the line each row of the chunk ends on
+        records = _records(reader, path, width, ends)
         while True:
             rows: list[list[str]] = []
+            ends.clear()
             try:
                 rows.extend(islice(records, CHUNK_ROWS))  # keeps the rows read before a fault
                 fault = None
             except (ValueError, csv.Error) as exc:
                 fault = exc
             rows_kept, cells = _tally(rows, columns, kept, rules, report)
-            empty = _lookup([col.state for col in kept], cells) == EMPTY
+            items = _lookup(kept, cells)
+            empty = items == EMPTY
             if empty.any():
                 row, j = divmod(int(empty.argmax()), len(kept))  # the first row, then keep order
-                line = _line_of_record(path, width, start + int(rows_kept[row]))
-                raise ValueError(f"{path}: line {line}: empty value in column {keep[j]!r}")
-            chunks.append(_encode(index, cells, kept))
+                raise ValueError(f"{path}: line {ends[rows_kept[row]]}: empty value in column {keep[j]!r}")
+            chunks.append(_encode(index, cells, kept, items))
             if fault is not None:
                 raise fault
             if len(rows) < CHUNK_ROWS:
                 break
-            start += len(rows)
     return ItemDictionary(tuple(index)), TransactionDb.from_arrays(*map(np.concatenate, zip(*chunks)), len(index)), report
 
 
-MISSING, OUT_OF_RANGE, EMPTY, LABEL = range(4)  # a cell's state, from its _clean_cell outcome
-PENDING = -1  # item id of a cell whose label _encode has not yet looked up
-NO_ITEM = np.iinfo(np.intp).max  # item id of a cell with no label; sorts last
+MISSING, OUT_OF_RANGE, EMPTY, PENDING = range(-4, 0)  # the item id of a code with none, or none yet
 
 
 class _Column:
-    """One header column's codes and its per-code tables: state, item id
-    and, for each value a rule tests, whether the stripped cell equals it.
-    lookup extends the tables by the codes it makes; they are never
-    rebuilt."""
+    """One header column's codes and its per-code tables: item id, or why
+    the cell has none, and, for each value a rule tests, whether the
+    stripped cell equals it. lookup extends the tables by the codes it
+    makes; they are never rebuilt."""
 
     def __init__(self, pos: int, codes: _Codes, tested: set[str]):
         self.pos, self.codes = pos, codes
-        self.state = np.zeros(0, np.int8)
         self.item = np.zeros(0, np.intp)
         self.matches = {value: np.zeros(0, bool) for value in tested}
 
     def lookup(self, rows: list[list[str]]) -> np.ndarray:
         """The codes of the column's cells in rows."""
         codes = np.fromiter(map(self.codes.__getitem__, map(itemgetter(self.pos), rows)), np.intp, len(rows))
-        new = self.codes.outcomes[len(self.state):]
+        new = self.codes.outcomes[len(self.item):]
         if not new:
             return codes
-        states = np.array([MISSING if v is None else OUT_OF_RANGE if c is None else LABEL if c else EMPTY
-                           for v, c, _ in new], np.int8)
-        self.state = np.concatenate([self.state, states])
-        self.item = np.concatenate([self.item, np.where(states == LABEL, PENDING, NO_ITEM)])
+        items = [MISSING if v is None else OUT_OF_RANGE if c is None else PENDING if c else EMPTY for v, c, _ in new]
+        self.item = np.concatenate([self.item, np.array(items, np.intp)])
         for value, table in self.matches.items():
             self.matches[value] = np.concatenate([table, np.array([v == value for v, _, _ in new], bool)])
         return codes
@@ -307,9 +309,9 @@ def _tally(
             report.rows_dropped[description] += count
     rows_kept = np.flatnonzero(rule == len(rules))
     for name, col in columns.items():
-        for tally, state, at in ((report.blanked_cells, MISSING, codes[col]),
-                                 (report.out_of_range, OUT_OF_RANGE, codes[col][rows_kept])):
-            count = int(np.count_nonzero(col.state[at] == state))
+        for tally, reason, at in ((report.blanked_cells, MISSING, codes[col]),
+                                  (report.out_of_range, OUT_OF_RANGE, codes[col][rows_kept])):
+            count = int(np.count_nonzero(col.item[at] == reason))
             if count:
                 tally[name] += count
     cells = np.empty((len(rows_kept), len(kept)), np.intp)
@@ -318,39 +320,32 @@ def _tally(
     return rows_kept, cells
 
 
-def _lookup(tables: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
-    """Column j of a code matrix looked up in tables[j]."""
-    out = np.empty(cells.shape, tables[0].dtype if tables else np.intp)
-    for j, table in enumerate(tables):
-        out[:, j] = table[cells[:, j]]
+def _lookup(kept: Sequence[_Column], cells: np.ndarray) -> np.ndarray:
+    """Column j of a code matrix looked up in kept[j]'s item table."""
+    out = np.empty(cells.shape, np.intp)
+    for j, col in enumerate(kept):
+        out[:, j] = col.item[cells[:, j]]
     return out
 
 
-def _encode(index: dict[str, int], cells: np.ndarray, kept: Sequence[_Column]) -> tuple[np.ndarray, np.ndarray]:
-    """The item ids of a (kept rows x kept columns) code matrix, row after
-    row and sorted in each, in the smallest unsigned dtype for the ids so
-    far, and each row's count. A label new to index gets the next id in
-    first-encounter order: by row, then in keep order; codes of one label share it."""
-    items = _lookup([col.item for col in kept], cells)
+def _encode(
+    index: dict[str, int], cells: np.ndarray, kept: Sequence[_Column], items: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The item ids of a (kept rows x kept columns) code matrix, whose
+    lookup is items, row after row and sorted in each, in the smallest
+    unsigned dtype for the ids so far, and each row's count. A label new to
+    index gets the next id in first-encounter order: by row, then in keep
+    order; codes of one label share it."""
     pending = np.flatnonzero(items == PENDING)  # row-major, so in first-encounter order
     if len(pending):
         col_of, code_of = pending % len(kept), cells.ravel()[pending]
         first = np.sort(np.unique(code_of * len(kept) + col_of, return_index=True)[1])
         for j, code in zip(col_of[first].tolist(), code_of[first].tolist()):
             kept[j].item[code] = index.setdefault(kept[j].codes.outcomes[code][2], len(index))
-        items = _lookup([col.item for col in kept], cells)
+        items = _lookup(kept, cells)
     items.sort(axis=1)
-    labelled = items != NO_ITEM
+    labelled = items >= 0
     return items[labelled].astype(np.min_scalar_type(max(0, len(index) - 1))), np.count_nonzero(labelled, axis=1)
-
-
-def _line_of_record(path: str | Path, width: int, record: int) -> int:
-    """The line a record ends on, counting records from 0 after the
-    header; only an error message needs it, so the file is read again."""
-    with _reading(path) as reader:
-        next(reader)
-        next(islice(_records(reader, path, width), record, None))
-        return reader.line_num
 
 
 def load_csv(path: str | Path, schema: SchemaSpec) -> LoadResult:
@@ -379,8 +374,9 @@ def _reading(path: str | Path) -> Iterator[Iterator[list[str]]]:
             yield reader
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:  # raised per decoded chunk, so find the line
-            raise ValueError(f"{path}: line {_first_non_utf8_line(path)} is not UTF-8: {exc.reason}") from exc
+        except UnicodeDecodeError as exc:  # raised per decode block, so add its line ends before the byte
+            line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+            raise ValueError(f"{path}: line {line} is not UTF-8: {exc.reason}") from exc
 
 
 def _header(reader, path: str | Path, schema: SchemaSpec) -> tuple[dict[str, int], tuple[str, ...], int]:
@@ -402,25 +398,18 @@ def _header(reader, path: str | Path, schema: SchemaSpec) -> tuple[dict[str, int
     return {name: header.index(name) for name in wanted}, ignored, len(header)
 
 
-def _records(reader, path: str | Path, width: int) -> Iterator[list[str]]:
+def _records(reader, path: str | Path, width: int, ends: list[int] | None = None) -> Iterator[list[str]]:
     """The rows after the header, blank lines skipped; a row whose width is
-    not the header's is a ValueError."""
+    not the header's is a ValueError. The line each row ends on is appended
+    to ends, if given, before the row is yielded."""
     for row in reader:
         if not row:
             continue
         if len(row) != width:
             raise ValueError(f"{path}: malformed CSV line {reader.line_num}")
+        if ends is not None:
+            ends.append(reader.line_num)
         yield row
-
-
-def _first_non_utf8_line(path: str | Path) -> int:
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    return 0  # the file changed after the failed read
 
 
 def bin_numeric(value: float, bins: Sequence[Bin]) -> str:

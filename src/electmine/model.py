@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -175,29 +175,18 @@ def encode_rows(
     """
     order = list(attribute_order)
     order_set = set(order)
-
-    def label_rows() -> Iterator[list[str]]:
-        for row_no, row in enumerate(rows):
-            unknown = set(row) - order_set
-            if unknown:
-                raise ValueError(f"row {row_no}: attributes not in attribute_order: {sorted(unknown)}")
-            labels = []
-            for attr in order:
-                if attr not in row:
-                    continue
-                if row[attr] == "":
-                    raise ValueError(f"row {row_no}: empty value for attribute {attr!r}")
-                labels.append(f"{attr}_{row[attr]}")
-            yield labels
-
-    return encode_labels(label_rows())
-
-
-def encode_labels(label_rows: Iterable[Iterable[str]]) -> tuple[ItemDictionary, TransactionDb]:
-    """Encode rows of "attribute_value" item labels, each label once a row.
-    Item ids are assigned in first-encounter order."""
     index: dict[str, int] = {}
     transactions = []
-    for labels in label_rows:
-        transactions.append(tuple(sorted([index.setdefault(label, len(index)) for label in labels])))
+    for row_no, row in enumerate(rows):
+        unknown = set(row) - order_set
+        if unknown:
+            raise ValueError(f"row {row_no}: attributes not in attribute_order: {sorted(unknown)}")
+        ids = []
+        for attr in order:
+            if attr not in row:
+                continue
+            if row[attr] == "":
+                raise ValueError(f"row {row_no}: empty value for attribute {attr!r}")
+            ids.append(index.setdefault(f"{attr}_{row[attr]}", len(index)))
+        transactions.append(tuple(sorted(ids)))
     return ItemDictionary(tuple(index)), TransactionDb(tuple(transactions), n_items=len(index))

@@ -158,6 +158,9 @@ BAD_INPUTS = [
     ("top-level-list", "- name: a\n", None, None, 2),
     ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", None, None, 2),
     ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", None, None, 2),
+    # An empty bin label would make every value in its bin an empty answer.
+    ("empty-bin-label", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[0, 50, ''], [51, 120, old]]\n",
+     "dir", None, 2),
     # Bins on a column that is not numeric_binned would leave its raw values unbinned.
     ("bins-not-binned", "columns:\n  - name: a\n    bins: [[1, 2, x]]\n", "dir", None, 2),
     # An unknown keep column is a schema error, found before the input is opened.
@@ -226,6 +229,7 @@ SCHEMA_FAULTS = {
     "keep-twice": "keep columns named twice: ['a']",
     "keep-drop": "keep columns of kind drop: ['b']",
     "bins-not-binned": "column 'a': bins need kind numeric_binned, not 'categorical'",
+    "empty-bin-label": "column 'a': a bin label is empty",
     "rule-unknown-column": "consistency rule columns absent from schema: ['q99']",
     "rule-drop-column": "consistency rule columns of kind drop: ['d']",
 }

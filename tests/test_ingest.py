@@ -1,12 +1,14 @@
+import os
 import re
 from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electmine import ingest
+from electmine.cli import main
 from electmine.ingest import (
     DROP,
     Bin,
@@ -183,6 +185,16 @@ def test_column_spec_validation():
         ColumnSpec("age", kind="numeric_binned", bins=(Bin(0, 10, "a"), Bin(5, 20, "b")))
     with pytest.raises(ValueError, match="not unique"):
         ColumnSpec("age", kind="numeric_binned", bins=(Bin(0, 10, "a"), Bin(11, 20, "a")))
+
+
+def test_schema_rejects_an_empty_bin_label(tmp_path):
+    # Its cells would load as empty answers: a valid age of 30 would be an error.
+    with pytest.raises(ValueError, match="^column 'age': a bin label is empty$"):
+        ColumnSpec("age", kind="numeric_binned", bins=(Bin(0, 50, ""), Bin(51, 120, "old")))
+    path = tmp_path / "schema.yaml"
+    path.write_text("columns:\n  - name: age\n    kind: numeric_binned\n    bins: [[0, 50, ''], [51, 120, old]]\n")
+    with pytest.raises(ValueError, match="a bin label is empty"):
+        load_schema(path)
 
 
 def test_schema_rejects_unknown_keep_column():
@@ -437,3 +449,102 @@ def test_load_shares_one_int_per_item_id(tmp_path):
     with patch.object(ingest, "CHUNK_ROWS", 64):
         _, db, _ = load(SchemaSpec(columns=(ColumnSpec("a"), ColumnSpec("b"))), path)
     assert len({id(item) for row in db.transactions for item in row}) == db.n_items == 307
+
+
+@pytest.fixture
+def pipe_of():
+    """Makes a pipe that holds data, with its write end closed, and gives
+    the path that opens it, as bash's <(...) does: a second open of it
+    reads nothing. data must fit the pipe's buffer (64 KiB on Linux)."""
+    ends = []
+
+    def make(data: bytes) -> str:
+        read, write = os.pipe()
+        ends.append(read)
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+        return f"/dev/fd/{read}"
+
+    yield make
+    for fd in ends:
+        os.close(fd)
+
+
+def test_load_from_a_pipe_equals_the_file(tmp_path, pipe_of):
+    data = FAULT_HEAD.encode() + b"".join(b"%d,%d\n" % (i % 5, i % 3) for i in range(300))
+    path = tmp_path / "survey.csv"
+    path.write_bytes(data)
+    with patch.object(ingest, "CHUNK_ROWS", 64):
+        dictionary, db, report = load(EMPTY_SCHEMA, path)
+        piped = load(EMPTY_SCHEMA, pipe_of(data))
+    assert (piped[0], piped[1], piped[2].as_text()) == (dictionary, db, report.as_text())
+    assert db.n_transactions == 302
+
+
+# A pipe cannot be read twice, so each line must come from the one read.
+PIPE_FAULTS = [
+    ("empty-kept-cell", b"1,\n", "line 6: empty value in column 'b'"),
+    ("non-utf8", b"1,\xff\n", "line 6 is not UTF-8: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("tail,message", [f[1:] for f in PIPE_FAULTS], ids=[f[0] for f in PIPE_FAULTS])
+def test_load_names_the_line_of_a_fault_in_a_pipe(pipe_of, tail, message):
+    path = pipe_of(FAULT_HEAD.encode() + tail)
+    with pytest.raises(ValueError) as caught:
+        load(EMPTY_SCHEMA, path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("tail,message", [f[1:] for f in PIPE_FAULTS], ids=[f[0] for f in PIPE_FAULTS])
+def test_ingest_of_a_faulty_pipe_is_one_error_line(tmp_path, capsys, pipe_of, tail, message):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text("missing_tokens: [na]\ncolumns:\n  - name: a\n  - name: b\n")
+    path = pipe_of(FAULT_HEAD.encode() + tail)
+    assert main(["ingest", "--input", path, "--schema", str(schema)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def first_non_utf8_line(path) -> int:
+    """The first line, split at b"\\n", that does not decode as UTF-8 on its
+    own, or 0. load once found the line so, by reading the file again."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0
+
+
+BLOCK = 8192  # the bytes a text file decodes at a time
+NEAR_BLOCK_ENDS = [k * BLOCK + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)]
+
+
+@st.composite
+def non_utf8_files(draw):
+    """A CSV of columns a and b, several decode blocks long, with
+    "\\n" or "\\r\\n" line ends, with or without a byte-order mark, holding a
+    quoted two-line field and a field longer than one block, and one byte
+    >= 0x80 put in at any offset."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [f"{i},{i % 7}" for i in range(draw(st.integers(2000, 3000)))]
+    rows.insert(draw(st.integers(0, len(rows))), f'"x{newline}y",1')
+    rows.insert(draw(st.integers(0, len(rows))), "x" * draw(st.integers(BLOCK + 1, 2 * BLOCK)) + ",1")
+    ending = draw(st.sampled_from(["", newline]))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + newline.join(["a,b", *rows]) + ending).encode()
+    at = draw(st.one_of(st.integers(0, len(data)), st.sampled_from(NEAR_BLOCK_ENDS)))
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=non_utf8_files())
+@example(data=b"a,b\r\n1," + b"2" * (BLOCK - 8) + b"\r\n\xff1,2\r\n")  # "\r" ends the first block
+@example(data=b"a,b\n" + b"1,2\n" * 2047 + b"1,2\xc3")  # an unfinished sequence at the end
+def test_load_names_the_line_of_a_non_utf8_byte_as_a_reread_does(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("utf8") / "survey.csv"
+    path.write_bytes(data)
+    line = first_non_utf8_line(path)
+    assert line > 0
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line} is not UTF-8: "):
+        load(SchemaSpec(columns=(ColumnSpec("a"), ColumnSpec("b"))), path)
