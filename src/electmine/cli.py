@@ -30,9 +30,9 @@ from .rules import (
 )
 from .verify import OracleLimits
 
-DEFAULT_MIN_SUPPORT = 0.03
-DEFAULT_MIN_CONFIDENCE = 0.60
-DEFAULT_MIN_LIFT = 1.50
+# The published parameterization, defined once as Thresholds' field defaults.
+DEFAULT_MIN_SUPPORT, DEFAULT_MIN_CONFIDENCE, DEFAULT_MIN_LIFT = (
+    Thresholds.min_support, Thresholds.min_confidence, Thresholds.min_lift)
 MINORITY_PRESET_MIN_SUPPORT = 0.02
 
 
@@ -142,14 +142,15 @@ def _check_counts(args) -> None:
 
 
 def _write(args, text: str) -> None:
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write output {args.output}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ValueError(f"cannot write output {args.output or '<stdout>'}: {exc.strerror or exc}") from exc
 
 
 def _table(rows: list[list[str]]) -> str:

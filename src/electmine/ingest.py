@@ -14,11 +14,10 @@ import csv
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -209,14 +208,15 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     select_features (with the schema's keep list, or every non-drop column)
     and encode_rows in turn, and the report also lists the ignored header
     columns. No row is kept as a dict, and no Python loop runs per cell:
-    each column maps its raw cells to small int codes, one lookup loop in C
-    per column and chunk, and a distinct cell is stripped, checked and
-    binned once, when its code is made. numpy does the rest on the code
-    arrays and per-code tables, one item table per column whose negative
-    entries say why a code has no item: it picks each row's consistency
-    rule, tallies the report, rejects an empty kept answer and gathers and
-    sorts the item ids of the kept rows into the database's arrays. Memory
-    is bounded by the distinct cells plus the item ids plus one chunk of rows.
+    each column has one table, a _Column, that maps its raw cells to small
+    int codes in one lookup loop in C per chunk, cleans a distinct cell
+    once, when its code is made, and keeps per-code arrays: the item id,
+    negative where the code has none, and a match per value a rule tests.
+    numpy does the rest on the codes and these arrays: it picks each row's
+    consistency rule, tallies the report, rejects an empty kept answer and
+    gathers and sorts the item ids of the kept rows into the database's
+    arrays. Memory is bounded by the distinct cells plus the item ids plus
+    one chunk of rows.
 
     The input is read once, so it may be a pipe: an error's line number
     comes from that read. Faults come in file order. Rows read before a
@@ -226,17 +226,13 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     error are those whose lines end in an earlier block.
     """
     report = CleanReport()
-    codes = _cell_codes(schema)
+    columns = {c.name: _Column(schema, c) for c in schema.columns}
     keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != DROP)
+    kept = [columns[name] for name in keep]  # item ids follow keep order
     index: dict[str, int] = {}  # item label -> id, in first-encounter order
     chunks = []  # each chunk's (item ids, row lengths)
     with _reading(path) as reader:
         positions, report.ignored_columns, width = _header(reader, path, schema)
-        tested = [(name, value) for r in schema.consistency_rules for name, value in r.conjuncts]
-        columns = {name: _Column(pos, codes[name], {v for n, v in tested if n == name})
-                   for name, pos in positions.items()}
-        kept = [columns[name] for name in keep]  # item ids follow keep order
-        rules = [(r.description, [(columns[n], v) for n, v in r.conjuncts]) for r in schema.consistency_rules]
         ends: list[int] = []  # the line each row of the chunk ends on
         records = _records(reader, path, width, ends)
         while True:
@@ -247,7 +243,7 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                 fault = None
             except (ValueError, csv.Error) as exc:
                 fault = exc
-            rows_kept, cells = _tally(rows, columns, kept, rules, report)
+            rows_kept, cells = _tally(rows, positions, columns, keep, schema.consistency_rules, report)
             items = _lookup(kept, cells)
             empty = items == EMPTY
             if empty.any():
@@ -264,59 +260,84 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
 MISSING, OUT_OF_RANGE, EMPTY, PENDING = range(-4, 0)  # the item id of a code with none, or none yet
 
 
-class _Column:
-    """One header column's codes and its per-code tables: item id, or why
-    the cell has none, and, for each value a rule tests, whether the
-    stripped cell equals it. lookup extends the tables by the codes it
-    makes; they are never rebuilt."""
+class _Column(dict):
+    """One schema column's table: a dict from raw cell to a small int code,
+    in first-seen order, whose __missing__ cleans each distinct cell once.
+    outcomes[code] is the stripped cell (None for a missing answer) and its
+    cleaned value: the stripped cell itself or, in a binned column, its bin
+    label (None if out of binning range). A bin label passes unchanged, so
+    cleaning is idempotent. An empty cleaned value, a blank cell when "" is
+    not a missing token, is an error in a kept column of a kept row: load
+    names its line, and encode_rows its row. load reads two more per-code
+    arrays, which lookup extends by the codes it makes and never rebuilds:
+    item, the item id or why the cell has none, and matches, for each value
+    a consistency rule tests, whether the stripped cell equals it."""
 
-    def __init__(self, pos: int, codes: _Codes, tested: set[str]):
-        self.pos, self.codes = pos, codes
+    def __init__(self, schema: SchemaSpec, col: ColumnSpec):
+        super().__init__()
+        self.name, self.bins = col.name, col.bins
+        self.missing = schema.missing_tokens_for(col)
+        self.bin_labels = frozenset(b.label for b in col.bins)
+        self.outcomes: list[tuple[str | None, str | None]] = []
         self.item = np.zeros(0, np.intp)
-        self.matches = {value: np.zeros(0, bool) for value in tested}
+        self.matches = {value: np.zeros(0, bool) for rule in schema.consistency_rules
+                        for name, value in rule.conjuncts if name == col.name}
 
-    def lookup(self, rows: list[list[str]]) -> np.ndarray:
-        """The codes of the column's cells in rows."""
-        codes = np.fromiter(map(self.codes.__getitem__, map(itemgetter(self.pos), rows)), np.intp, len(rows))
-        new = self.codes.outcomes[len(self.item):]
-        if not new:
-            return codes
-        items = [MISSING if v is None else OUT_OF_RANGE if c is None else PENDING if c else EMPTY for v, c, _ in new]
-        self.item = np.concatenate([self.item, np.array(items, np.intp)])
-        for value, table in self.matches.items():
-            self.matches[value] = np.concatenate([table, np.array([v == value for v, _, _ in new], bool)])
+    def __missing__(self, raw: str) -> int:
+        value: str | None = raw.strip()  # "White " and "White" are one answer
+        cleaned = value
+        if value.lower() in self.missing:
+            value = cleaned = None
+        elif self.bins and value not in self.bin_labels:
+            try:
+                cleaned = bin_numeric(float(value), self.bins)
+            except ValueError:
+                cleaned = None
+        self.outcomes.append((value, cleaned))
+        code = self[raw] = len(self.outcomes) - 1
+        return code
+
+    def lookup(self, rows: list[list[str]], pos: int) -> np.ndarray:
+        """The codes of the cells at pos in rows."""
+        codes = np.fromiter(map(self.__getitem__, map(itemgetter(pos), rows)), np.intp, len(rows))
+        new = self.outcomes[len(self.item):]
+        if new:
+            items = [MISSING if v is None else OUT_OF_RANGE if c is None else PENDING if c else EMPTY for v, c in new]
+            self.item = np.concatenate([self.item, np.array(items, np.intp)])
+            for value, table in self.matches.items():
+                self.matches[value] = np.concatenate([table, np.array([v == value for v, _ in new], bool)])
         return codes
 
 
 def _tally(
-    rows: list[list[str]], columns: Mapping[str, _Column], kept: Sequence[_Column],
-    rules: Sequence[tuple[str, Sequence[tuple[_Column, str]]]], report: CleanReport,
+    rows: list[list[str]], positions: Mapping[str, int], columns: Mapping[str, _Column], keep: Sequence[str],
+    rules: Sequence[ConsistencyRule], report: CleanReport,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Look up a chunk's cells, one column at a time, and add its dropped
     rows, missing cells (in every row) and out-of-range cells (in rows no
     rule drops) to report. Returns the indices of the rows no rule drops
     and their (row x kept column) code matrix."""
-    codes = {col: col.lookup(rows) for col in columns.values()}
+    codes = {name: columns[name].lookup(rows, pos) for name, pos in positions.items()}
     # A row's rule is the first whose every conjunct matches its stripped cells.
     rule = np.full(len(rows), len(rules))
     for i in reversed(range(len(rules))):
         hit = np.ones(len(rows), bool)
-        for col, value in rules[i][1]:
-            hit &= col.matches[value][codes[col]]
+        for name, value in rules[i].conjuncts:
+            hit &= columns[name].matches[value][codes[name]]
         rule[hit] = i
-    for (description, _), count in zip(rules, np.bincount(rule, minlength=len(rules)).tolist()):
+    for r, count in zip(rules, np.bincount(rule, minlength=len(rules)).tolist()):
         if count:  # as_text prints every key
-            report.rows_dropped[description] += count
+            report.rows_dropped[r.description] += count
     rows_kept = np.flatnonzero(rule == len(rules))
-    for name, col in columns.items():
-        for tally, reason, at in ((report.blanked_cells, MISSING, codes[col]),
-                                  (report.out_of_range, OUT_OF_RANGE, codes[col][rows_kept])):
-            count = int(np.count_nonzero(col.item[at] == reason))
+    for name, code in codes.items():
+        for tally, reason, at in ((report.blanked_cells, MISSING, code),
+                                  (report.out_of_range, OUT_OF_RANGE, code[rows_kept])):
+            count = int(np.count_nonzero(columns[name].item[at] == reason))
             if count:
                 tally[name] += count
-    cells = np.empty((len(rows_kept), len(kept)), np.intp)
-    for j, col in enumerate(kept):
-        cells[:, j] = codes[col][rows_kept]
+    cells = np.empty((len(rows_kept), len(keep)), np.intp)
+    for j, name in enumerate(keep):
+        cells[:, j] = codes[name][rows_kept]
     return rows_kept, cells
 
 
@@ -341,7 +362,8 @@ def _encode(
         col_of, code_of = pending % len(kept), cells.ravel()[pending]
         first = np.sort(np.unique(code_of * len(kept) + col_of, return_index=True)[1])
         for j, code in zip(col_of[first].tolist(), code_of[first].tolist()):
-            kept[j].item[code] = index.setdefault(kept[j].codes.outcomes[code][2], len(index))
+            col = kept[j]
+            col.item[code] = index.setdefault(f"{col.name}_{col.outcomes[code][1]}", len(index))
         items = _lookup(kept, cells)
     items.sort(axis=1)
     labelled = items >= 0
@@ -423,54 +445,6 @@ def bin_numeric(value: float, bins: Sequence[Bin]) -> str:
     raise ValueError(f"out of binning range: {value}")
 
 
-def _clean_cell(
-    raw: str, name: str, missing: frozenset[str], bins: Sequence[Bin], bin_labels: frozenset[str]
-) -> tuple[str | None, str | None, str | None]:
-    """A cell of column name: the stripped cell (None for a missing answer),
-    its cleaned value, which is the stripped cell itself or, in a binned
-    column, its bin label (None if out of binning range), and the item
-    label "<name>_<cleaned value>". A bin label passes unchanged, so
-    cleaning is idempotent. An empty cleaned value, a blank cell when ""
-    is not a missing token, is an error in a kept column of a kept row:
-    load names its line, and encode_rows its row."""
-    value = raw.strip()  # "White " and "White" are one answer
-    if value.lower() in missing:
-        return None, None, None
-    cleaned: str | None = value
-    if bins and value not in bin_labels:
-        try:
-            cleaned = bin_numeric(float(value), bins)
-        except ValueError:
-            return value, None, None
-    return value, cleaned, f"{name}_{cleaned}"
-
-
-class _Codes(dict):
-    """A dict from raw cell to a small int code, in first-seen order;
-    outcomes[code] is fill(raw cell), so fill runs once per distinct cell."""
-
-    def __init__(self, fill: Callable[[str], tuple]):
-        super().__init__()
-        self.fill = fill
-        self.outcomes: list[tuple] = []
-
-    def __missing__(self, key: str) -> int:
-        self.outcomes.append(self.fill(key))
-        code = self[key] = len(self.outcomes) - 1
-        return code
-
-
-def _cell_codes(schema: SchemaSpec) -> dict[str, _Codes]:
-    """Codes of raw cells, with their _clean_cell outcomes, for each schema column."""
-    codes = {}
-    for col in schema.columns:
-        codes[col.name] = _Codes(partial(
-            _clean_cell, name=col.name, missing=schema.missing_tokens_for(col), bins=col.bins,
-            bin_labels=frozenset(b.label for b in col.bins),
-        ))
-    return codes
-
-
 def clean(
     rows: Sequence[Mapping[str, str]],
     schema: SchemaSpec,
@@ -478,19 +452,22 @@ def clean(
 ) -> tuple[list[dict[str, str]], CleanReport]:
     """Strip cells, blank missing ones, drop contradictory rows, bin numeric columns.
 
-    Missing answers simply disappear from the row (no "missing" item), so
+    Each cell is cleaned through its column's table, the _Column that load
+    uses too, so a distinct cell is cleaned once per column. Missing
+    answers simply disappear from the row (no "missing" item), so
     downstream support denominators stay "all respondents". Rules test the
     stripped cells before binning. Cleaning is idempotent: already-binned
     labels pass through unchanged.
     """
     report = CleanReport()
-    cells = _cell_codes(schema)
+    columns = {c.name: _Column(schema, c) for c in schema.columns}
     cleaned: list[dict[str, str]] = []
     for row in rows:
         stripped: dict[str, str] = {}
         values: dict[str, str | None] = {}
         for name, raw in row.items():
-            value, cleaned_value, _ = cells[name].outcomes[cells[name][raw]]
+            col = columns[name]
+            value, cleaned_value = col.outcomes[col[raw]]
             if value is None:
                 report.blanked_cells[name] += 1
             else:

@@ -149,15 +149,20 @@ def test_format_rejected_where_output_is_fixed(data_dir, capsys, command):
 
 
 # Inputs that once ended in a traceback, in an error that named neither
-# the file nor the line, or in no error: (id, schema text or None for d5.yaml,
-# --input, --output, exit code). --input is None for d5.csv, "dir" for a
-# directory, or the bytes of the input file; --output "dir" is a directory,
-# "no-parent" a file in a missing directory.
+# the file nor the line, or in no error: (id, schema, --input, --output, exit
+# code). The schema is its text, None for d5.yaml or "dir" for a directory.
+# --input is None for d5.csv, "dir" for a directory, or the bytes of the
+# input file; --output "dir" is a directory, "no-parent" a file in a missing
+# directory.
 BAD_INPUTS = [
     ("yaml-syntax", "columns: [a, b\n", None, None, 2),
     ("top-level-list", "- name: a\n", None, None, 2),
     ("short-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[1, 2]]\n", None, None, 2),
     ("reversed-bin", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[5, 1, x]]\n", None, None, 2),
+    ("binned-without-bins", "columns:\n  - name: a\n    kind: numeric_binned\n", "dir", None, 2),
+    ("duplicate-schema-column", "columns:\n  - name: a\n  - name: a\n", "dir", None, 2),
+    # A schema that cannot be opened is an input fault (exit 1), not a settings error.
+    ("schema-is-directory", "dir", None, None, 1),
     # An empty bin label would make every value in its bin an empty answer.
     ("empty-bin-label", "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[0, 50, ''], [51, 120, old]]\n",
      "dir", None, 2),
@@ -196,9 +201,8 @@ BAD_INPUTS = [
 
 @pytest.mark.parametrize("what,schema,input_,output,code", BAD_INPUTS, ids=[b[0] for b in BAD_INPUTS])
 def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, input_, output, code):
-    schema_path = data_dir / "d5.yaml"
-    if schema is not None:
-        schema_path = tmp_path / "schema.yaml"
+    schema_path = {None: data_dir / "d5.yaml", "dir": tmp_path}.get(schema, tmp_path / "schema.yaml")
+    if schema not in (None, "dir"):
         schema_path.write_text(schema)
     input_path = {None: data_dir / "d5.csv", "dir": tmp_path}.get(input_, tmp_path / "input.csv")
     if isinstance(input_, bytes):
@@ -217,6 +221,8 @@ def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, inp
         assert child.stderr.startswith("error: cannot write output ")
     if code == 2:
         assert child.stderr.startswith(f"error: bad schema {schema_path}: {SCHEMA_FAULTS.get(what, '')}")
+    if schema == "dir":
+        assert child.stderr.startswith(f"error: cannot read schema {schema_path}: ")
     if isinstance(input_, bytes):  # the file, and the line or the column at fault
         assert child.stderr.startswith(f"error: {input_path}: {INPUT_FAULTS[what]}")
 
@@ -230,6 +236,8 @@ SCHEMA_FAULTS = {
     "keep-drop": "keep columns of kind drop: ['b']",
     "bins-not-binned": "column 'a': bins need kind numeric_binned, not 'categorical'",
     "empty-bin-label": "column 'a': a bin label is empty",
+    "binned-without-bins": "column 'a': numeric_binned needs bins",
+    "duplicate-schema-column": "duplicate column names in schema",
     "rule-unknown-column": "consistency rule columns absent from schema: ['q99']",
     "rule-drop-column": "consistency rule columns of kind drop: ['d']",
 }
@@ -241,6 +249,20 @@ INPUT_FAULTS = {
     "duplicate-column": "column 'a' appears twice in the header",
     "empty-kept-cell": "line 3: empty value in column 'b'",
 }
+
+
+# stdout on a full device fails as --output does: exit 1 and one error line
+# naming <stdout>, not a traceback or the interpreter's exit status 120.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["rules", "ingest", "verify"])
+def test_full_stdout_is_an_error_line(data_dir, command):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-m", "electmine.cli", command, *d5_args(data_dir)],
+                               stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert child.returncode == 1 and "Traceback" not in child.stderr
+    assert child.stderr.splitlines()[-1] == "error: cannot write output <stdout>: No space left on device"
+    assert child.stderr.count("error: ") == 1
 
 
 ragged_row = st.lists(st.text("0123456789abc", min_size=1, max_size=3), min_size=1, max_size=6)
