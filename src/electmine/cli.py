@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from typing import Callable, Sequence
@@ -150,6 +151,8 @@ def _write(args, text: str) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not args.output:  # else the bytes a failed flush keeps fail again at exit, with status 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write output {args.output or '<stdout>'}: {exc.strerror or exc}") from exc
 
 

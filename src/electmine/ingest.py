@@ -208,9 +208,9 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     select_features (with the schema's keep list, or every non-drop column)
     and encode_rows in turn, and the report also lists the ignored header
     columns. No row is kept as a dict, and no Python loop runs per cell:
-    each column has one table, a _Column, that maps its raw cells to small
-    int codes in one lookup loop in C per chunk, cleans a distinct cell
-    once, when its code is made, and keeps per-code arrays: the item id,
+    each non-drop column has one table, a _Column, that maps its raw cells
+    to small int codes in one lookup loop in C per chunk, cleans a distinct
+    cell once, when its code is made, and keeps per-code arrays: the item id,
     negative where the code has none, and a match per value a rule tests.
     numpy does the rest on the codes and these arrays: it picks each row's
     consistency rule, tallies the report, rejects an empty kept answer and
@@ -226,9 +226,8 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
     error are those whose lines end in an earlier block.
     """
     report = CleanReport()
-    columns = {c.name: _Column(schema, c) for c in schema.columns}
-    keep = schema.keep or tuple(c.name for c in schema.columns if c.kind != DROP)
-    kept = [columns[name] for name in keep]  # item ids follow keep order
+    columns = {c.name: _Column(schema, c) for c in schema.columns if c.kind != DROP}
+    kept = [columns[name] for name in schema.keep or columns]  # item ids follow keep order
     index: dict[str, int] = {}  # item label -> id, in first-encounter order
     chunks = []  # each chunk's (item ids, row lengths)
     with _reading(path) as reader:
@@ -243,12 +242,12 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                 fault = None
             except (ValueError, csv.Error) as exc:
                 fault = exc
-            rows_kept, cells = _tally(rows, positions, columns, keep, schema.consistency_rules, report)
+            rows_kept, cells = _tally(rows, positions, columns, kept, schema.consistency_rules, report)
             items = _lookup(kept, cells)
             empty = items == EMPTY
             if empty.any():
                 row, j = divmod(int(empty.argmax()), len(kept))  # the first row, then keep order
-                raise ValueError(f"{path}: line {ends[rows_kept[row]]}: empty value in column {keep[j]!r}")
+                raise ValueError(f"{path}: line {ends[rows_kept[row]]}: empty value in column {kept[j].name!r}")
             chunks.append(_encode(index, cells, kept, items))
             if fault is not None:
                 raise fault
@@ -310,7 +309,7 @@ class _Column(dict):
 
 
 def _tally(
-    rows: list[list[str]], positions: Mapping[str, int], columns: Mapping[str, _Column], keep: Sequence[str],
+    rows: list[list[str]], positions: Mapping[str, int], columns: Mapping[str, _Column], kept: Sequence[_Column],
     rules: Sequence[ConsistencyRule], report: CleanReport,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Look up a chunk's cells, one column at a time, and add its dropped
@@ -335,9 +334,9 @@ def _tally(
             count = int(np.count_nonzero(columns[name].item[at] == reason))
             if count:
                 tally[name] += count
-    cells = np.empty((len(rows_kept), len(keep)), np.intp)
-    for j, name in enumerate(keep):
-        cells[:, j] = codes[name][rows_kept]
+    cells = np.empty((len(rows_kept), len(kept)), np.intp)
+    for j, col in enumerate(kept):
+        cells[:, j] = codes[col.name][rows_kept]
     return rows_kept, cells
 
 
