@@ -220,7 +220,7 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
 
     The input is read once, so it may be a pipe: an error's line number
     comes from that read. Faults come in file order. Rows read before a
-    malformed or oversized line are checked before its error is raised.
+    line that is malformed, oversized or holds a NUL are checked first.
     Text is decoded in blocks of 8,192 bytes (a pipe may give fewer), and a
     non-UTF-8 byte fails its whole block, so the rows checked before its
     error are those whose lines end in an earlier block.
@@ -242,8 +242,7 @@ def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, Transact
                 fault = None
             except (ValueError, csv.Error) as exc:
                 fault = exc
-            rows_kept, cells = _tally(rows, positions, columns, kept, schema.consistency_rules, report)
-            items = _lookup(kept, cells)
+            rows_kept, cells, items = _tally(rows, positions, columns, kept, schema.consistency_rules, report)
             empty = items == EMPTY
             if empty.any():
                 row, j = divmod(int(empty.argmax()), len(kept))  # the first row, then keep order
@@ -315,7 +314,7 @@ def _tally(
     """Look up a chunk's cells, one column at a time, and add its dropped
     rows, missing cells (in every row) and out-of-range cells (in rows no
     rule drops) to report. Returns the indices of the rows no rule drops
-    and their (row x kept column) code matrix."""
+    and their (row x kept column) code matrix and item id matrix."""
     codes = {name: columns[name].lookup(rows, pos) for name, pos in positions.items()}
     # A row's rule is the first whose every conjunct matches its stripped cells.
     rule = np.full(len(rows), len(rules))
@@ -335,35 +334,30 @@ def _tally(
             if count:
                 tally[name] += count
     cells = np.empty((len(rows_kept), len(kept)), np.intp)
+    items = np.empty_like(cells)
     for j, col in enumerate(kept):
         cells[:, j] = codes[col.name][rows_kept]
-    return rows_kept, cells
-
-
-def _lookup(kept: Sequence[_Column], cells: np.ndarray) -> np.ndarray:
-    """Column j of a code matrix looked up in kept[j]'s item table."""
-    out = np.empty(cells.shape, np.intp)
-    for j, col in enumerate(kept):
-        out[:, j] = col.item[cells[:, j]]
-    return out
+        items[:, j] = col.item[cells[:, j]]
+    return rows_kept, cells, items
 
 
 def _encode(
     index: dict[str, int], cells: np.ndarray, kept: Sequence[_Column], items: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The item ids of a (kept rows x kept columns) code matrix, whose
-    lookup is items, row after row and sorted in each, in the smallest
-    unsigned dtype for the ids so far, and each row's count. A label new to
-    index gets the next id in first-encounter order: by row, then in keep
-    order; codes of one label share it."""
+    """The item ids of a (kept rows x kept columns) code matrix, row after
+    row and sorted in each, in the smallest unsigned dtype for the ids so
+    far, and each row's count. items is the matrix looked up; a PENDING
+    label gets the next id in first-encounter order, by row, then in keep
+    order, in items and its column's table; codes of one label share it."""
     pending = np.flatnonzero(items == PENDING)  # row-major, so in first-encounter order
     if len(pending):
         col_of, code_of = pending % len(kept), cells.ravel()[pending]
-        first = np.sort(np.unique(code_of * len(kept) + col_of, return_index=True)[1])
-        for j, code in zip(col_of[first].tolist(), code_of[first].tolist()):
-            col = kept[j]
-            col.item[code] = index.setdefault(f"{col.name}_{col.outcomes[code][1]}", len(index))
-        items = _lookup(kept, cells)
+        _, first, key_of = np.unique(code_of * len(kept) + col_of, return_index=True, return_inverse=True)
+        ids = np.empty(len(first), np.intp)
+        for k in np.argsort(first).tolist():  # each (code, column) key in first-encounter order
+            col, code = kept[col_of[first[k]]], int(code_of[first[k]])
+            ids[k] = col.item[code] = index.setdefault(f"{col.name}_{col.outcomes[code][1]}", len(index))
+        items.flat[pending] = ids[key_of]
     items.sort(axis=1)
     labelled = items >= 0
     return items[labelled].astype(np.min_scalar_type(max(0, len(index) - 1))), np.count_nonzero(labelled, axis=1)
@@ -386,11 +380,18 @@ def load_csv(path: str | Path, schema: SchemaSpec) -> LoadResult:
 @contextmanager
 def _reading(path: str | Path) -> Iterator[Iterator[list[str]]]:
     """A csv.reader over the file. A CSV or UTF-8 error while reading it,
-    the header included, becomes a ValueError naming the file and the line."""
+    the header included, becomes a ValueError naming the file and the line,
+    and so does a NUL byte, which csv.reader passes from Python 3.11 on."""
+    def lines(fh) -> Iterator[str]:
+        for line_num, line in enumerate(fh, 1):
+            if "\x00" in line:
+                raise ValueError(f"{path}: line {line_num}: line contains NUL")
+            yield line
+
     # utf-8-sig drops the byte-order mark that spreadsheet exports put
     # before the first header name.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(lines(fh))
         try:
             yield reader
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()

@@ -189,8 +189,8 @@ def generate_rules(
             for size in range(1, k)
         ]).reshape(len(patterns), -1)
         c_ant, c_cons = subset, subset[::-1]
-        # Products in float64, which cannot wrap as int64 products can.
-        could = (c_union >= c_ant * min_confidence) & (c_union * float(n) >= c_ant * (c_cons * min_lift))
+        # float64 cannot wrap as int64 can, and the lift is a quotient, so a huge min_lift cannot overflow.
+        could = (c_union >= c_ant * min_confidence) & (c_union * float(n) / c_ant / c_cons >= min_lift)
         js, at = np.nonzero(could)
         survivors = unions[at].tolist(), c_union[at].tolist(), c_ant[js, at].tolist(), c_cons[js, at].tolist()
         for j, union, cu, ca, cc in zip(js.tolist(), *survivors):

@@ -134,13 +134,13 @@ class EquivalenceReport:
         return "equivalent" if self.equivalent else f"divergent: {self.detail}"
 
 
-def _first_divergence(name_a, result_a, name_b, result_b, what):
+def _first_divergence(name_a, result_a, name_b, result_b):
     set_a = {(fs.items, fs.count) for fs in result_a}
     set_b = {(fs.items, fs.count) for fs in result_b}
     for items, count in sorted(set_a - set_b, key=lambda p: itemset_sort_key(p[0])):
-        return f"{what} {items} (count {count}) in {name_a} but not {name_b}"
+        return f"itemset {items} (count {count}) in {name_a} but not {name_b}"
     for items, count in sorted(set_b - set_a, key=lambda p: itemset_sort_key(p[0])):
-        return f"{what} {items} (count {count}) in {name_b} but not {name_a}"
+        return f"itemset {items} (count {count}) in {name_b} but not {name_a}"
     return None
 
 
@@ -164,7 +164,7 @@ def check_equivalence(
     names = list(results)
     baseline = names[0]
     for other in names[1:]:
-        divergence = _first_divergence(baseline, results[baseline], other, results[other], "itemset")
+        divergence = _first_divergence(baseline, results[baseline], other, results[other])
         if divergence:
             return EquivalenceReport(False, divergence)
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -543,6 +544,22 @@ def test_setting_fault_exits_2_before_the_input_is_read(data_dir, tmp_path, caps
     missing = ["--input", str(tmp_path / "no-such-file.csv"), "--schema", str(data_dir / "d5.yaml")]
     assert main([command, *missing, *flags]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["rules", "compare", "verify"])
+def test_a_huge_finite_min_lift_passes_no_rule_and_writes_no_warning(data_dir, capsys, command):
+    # The rule stage's float pre-test must not overflow: numpy would write a
+    # RuntimeWarning to stderr, here raised as an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *d5_args(data_dir), "--min-lift", "1e308"]) == 0
+    out = capsys.readouterr().out
+    if command == "rules":
+        assert out.splitlines() == ["antecedent  consequent  support%  confidence%  lift  tags"]
+    elif command == "compare":
+        assert [line.split()[:2] for line in out.splitlines()[1:3]] == [["apriori", "0"], ["fpgrowth", "0"]]
+    else:
+        assert out == "equivalent\n"
 
 
 def test_verify_beyond_oracle_limits(data_dir, capsys):

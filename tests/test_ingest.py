@@ -411,6 +411,8 @@ FAULTS = [
     ("oversized-then-empty", b"1," + b"x" * 131_073 + b"\n1,\n", "line 6: field larger than field limit (131072)"),
     ("empty-first-in-chunk", b"1,\n1,2\n", "line 6: empty value in column 'b'"),
     ("empty-last-in-chunk", b"1,2\n,2\n", "line 7: empty value in column 'a'"),
+    ("empty-then-nul", b"1,\n1,\x00\n", "line 6: empty value in column 'b'"),
+    ("nul-then-empty", b"1,\x00\n1,\n", "line 6: line contains NUL"),
 ]
 
 
@@ -439,6 +441,31 @@ def test_load_checks_the_rows_read_before_a_non_utf8_line(tmp_path, empty, messa
     with patch.object(ingest, "CHUNK_ROWS", 2), pytest.raises(ValueError) as caught:
         load(EMPTY_SCHEMA, path)
     assert str(caught.value) == f"{path}: {message}"
+
+
+# csv.reader rejects a line holding a NUL byte up to Python 3.10 and keeps
+# the NUL in its cell from 3.11 on; ingest rejects it on every version.
+NUL_FAULTS = [
+    ("kept-column", b"a,b\n1,2\n1,\x00\n", 3),
+    ("ignored-column", b"a,x,b\n1,2,3\n1,\x00,3\n", 3),
+    ("after-a-two-line-field", FAULT_HEAD.encode() + b"1,\x00\n", 6),
+    ("in-a-two-line-field", b'a,b\n1,2\n"x\n\x00y",1\n', 4),
+]
+
+
+@pytest.mark.parametrize("data,line", [f[1:] for f in NUL_FAULTS], ids=[f[0] for f in NUL_FAULTS])
+def test_a_nul_byte_is_an_error_naming_its_line(tmp_path, capsys, data, line):
+    path = tmp_path / "survey.csv"
+    path.write_bytes(data)
+    message = f"{path}: line {line}: line contains NUL"
+    for read in (lambda: load(EMPTY_SCHEMA, path), lambda: load_csv(path, EMPTY_SCHEMA)):
+        with pytest.raises(ValueError) as caught:
+            read()
+        assert str(caught.value) == message
+    schema = tmp_path / "schema.yaml"
+    schema.write_text("missing_tokens: [na]\ncolumns:\n  - name: a\n  - name: b\n")
+    assert main(["ingest", "--input", str(path), "--schema", str(schema)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_load_shares_one_int_per_item_id(tmp_path):
