@@ -27,7 +27,8 @@ import yaml
 from . import ingest, verify
 from .model import ConfigError, ItemDictionary, MinerConfig, TransactionDb
 from .rules import (
-    EQUITY_TAG, MINORITY_TAG, CategoryConfig, Thresholds, categorize, generate_rules, rule_record,
+    EQUITY_TAG, MINORITY_TAG, AssociationRule, CategoryConfig, Thresholds, categorize, generate_rules,
+    rule_record,
 )
 from .verify import OracleLimits
 
@@ -134,9 +135,8 @@ def _load_db(args) -> tuple[ItemDictionary, TransactionDb]:
 
 
 def _check_counts(args) -> None:
-    """--max-len, --top, --repeat and --max-oracle-items, on whichever
-    subcommand takes them, must be >= 1."""
-    for option in ("max_len", "top", "repeat", "max_oracle_items"):
+    """--max-len, --top and --repeat, on whichever subcommand takes them, must be >= 1."""
+    for option in ("max_len", "top", "repeat"):
         value = getattr(args, option, None)
         if value is not None and value < 1:
             raise ConfigError(f"{option.replace('_', '-')} must be >= 1")
@@ -232,6 +232,13 @@ def _compare_cells(rec: dict) -> list[str]:
     ]
 
 
+def mine_rules(db: TransactionDb, dictionary: ItemDictionary, thresholds: Thresholds,
+               algorithm: str, max_len: int | None = None) -> list[AssociationRule]:
+    """The rule route: mine with verify.MINERS[algorithm], keep the rules that pass, tag them."""
+    frequent = verify.MINERS[algorithm](db, thresholds.min_support, max_len)
+    return categorize(generate_rules(frequent, db, thresholds), dictionary, CategoryConfig())
+
+
 def cmd_ingest(args) -> int:
     dictionary, db, report = _load_pipeline(args)
     if args.report:
@@ -258,8 +265,7 @@ def cmd_rules(args) -> int:
     if unknown:
         raise ConfigError(f"unknown tags {sorted(unknown)}: valid tags are {EQUITY_TAG}, {MINORITY_TAG}")
     dictionary, db = _load_db(args)
-    frequent = verify.MINERS[args.algorithm](db, thresholds.min_support, args.max_len)
-    rules = categorize(generate_rules(frequent, db, thresholds), dictionary, CategoryConfig())
+    rules = mine_rules(db, dictionary, thresholds, args.algorithm, args.max_len)
     rules = [r for r in rules if wanted <= r.tags]
     records = [rule_record(r, dictionary) for r in rules[: args.top]]
     _emit(args, records, RULE_FIELDS, RULE_HEADERS, _rule_cells)
@@ -270,19 +276,18 @@ def compare_records(db: TransactionDb, dictionary: ItemDictionary, thresholds: T
                     algorithms: Sequence[str] = verify.MINER_PAIR, max_len: int | None = None,
                     repeat: int = 1) -> list[dict]:
     """One COMPARE_FIELDS record per algorithm, all on the same input.
-    wall_seconds is mining plus rule generation, the minimum over repeat
-    runs. A miner that raises gets 0 rules, no averages and the error
-    "<type>: <message>", and the other algorithms still run."""
+    wall_seconds is mine_rules' time (mining, rule generation and tagging;
+    ingest excluded), the minimum over repeat runs. A miner that raises gets
+    0 rules, no averages and the error "<type>: <message>", and the other
+    algorithms still run."""
     records = []
     for name in algorithms:
         try:
             seconds = float("inf")
             for _ in range(max(1, repeat)):
                 start = time.perf_counter()
-                frequent = verify.MINERS[name](db, thresholds.min_support, max_len)
-                plain = generate_rules(frequent, db, thresholds)
+                rules, error = mine_rules(db, dictionary, thresholds, name, max_len), None
                 seconds = min(seconds, time.perf_counter() - start)
-            rules, error = categorize(plain, dictionary, CategoryConfig()), None
         except Exception as exc:  # keep going with the other algorithms
             rules, seconds, error = [], 0.0, f"{type(exc).__name__}: {exc}"
         n = len(rules)

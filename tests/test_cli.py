@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import io
 import json
 import os
@@ -9,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from electmine.cli import (
     DEFAULT_MIN_CONFIDENCE,
@@ -124,8 +126,16 @@ def test_compare_unknown_algorithm(data_dir, tmp_path, capsys):
         assert "algorithm" in capsys.readouterr().err
 
 
-def test_compare_repeat_flag(data_dir):
-    assert main(["compare", *d5_args(data_dir), "--repeat", "3", "--output", "/dev/null"]) == 0
+def test_compare_repeat_flag(data_dir, tmp_path):
+    # Every repeat reruns the whole rule route; the rows do not change, only the time.
+    for fmt in ("table", "csv", "json"):
+        outputs = []
+        for repeat in ("1", "3"):
+            out = tmp_path / f"{fmt}{repeat}"
+            assert main(["compare", *d5_args(data_dir), "--min-lift", "0", "--format", fmt,
+                         "--repeat", repeat, "--output", str(out)]) == 0
+            outputs.append(re.sub(COMPARE_TIME[fmt], b"T", out.read_bytes(), flags=re.M))
+        assert outputs[0] == outputs[1]
     assert main(["compare", *d5_args(data_dir), "--repeat", "0"]) == 2
 
 
@@ -395,6 +405,59 @@ def test_byte_identical_reruns(data_dir, tmp_path):
     assert paths[0] == paths[1]
 
 
+def _load_bench_gen():
+    """electbench/gen.py, the benchmark's seeded survey generator, loaded from
+    its file: electbench/ is not a package."""
+    spec = importlib.util.spec_from_file_location("electbench_gen", Path(__file__).parents[1] / "electbench" / "gen.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # @dataclass looks it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_gen = _load_bench_gen()
+SPAE_SCHEMA = str(Path(__file__).parents[1] / "configs" / "spae2022.yaml")
+
+
+def rules_json(work: Path, data: bytes) -> list[tuple[int, str]]:
+    """rules --format json's exit code and stdout, for each miner, on data at
+    support 0.1: tens to hundreds of rules at 150-400 rows."""
+    (work / "input.csv").write_bytes(data)
+    found = []
+    for algorithm in ("apriori", "fpgrowth"):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["rules", "--format", "json", "--input", str(work / "input.csv"), "--schema", SPAE_SCHEMA,
+                         "--algorithm", algorithm, "--min-support", "0.1"])
+        found.append((code, out.getvalue()))
+    assert all(code == 0 and out for code, out in found)
+    return found
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 1000), rows=st.integers(150, 400))
+@example(seed=1, rows=203)  # 199 transactions, so s * N = 19.9: ceil and floor cut apart at 2N
+def test_rules_do_not_change_when_every_row_appears_twice(tmp_path_factory, seed, rows):
+    # A count c passes ceil(sN) exactly when 2c passes ceil(2sN), and every ratio is the same.
+    header, *lines = bench_gen.spae_csv(seed, rows).data.splitlines(keepends=True)
+    work = tmp_path_factory.mktemp("metamorphic")
+    expected = rules_json(work, header + b"".join(lines))
+    assert rules_json(work, header + b"".join(line + line for line in lines)) == expected
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 1000), rows=st.integers(150, 400),
+       order=st.permutations(range(len(bench_gen.SPAE_HEADER))))
+def test_rules_do_not_change_when_the_columns_are_permuted(tmp_path_factory, seed, rows, order):
+    # Columns are found by name and items are encoded in the schema's order.
+    data = bench_gen.spae_csv(seed, rows).data
+    permuted = io.StringIO()
+    csv.writer(permuted, lineterminator="\n").writerows(
+        [row[i] for i in order] for row in csv.reader(io.StringIO(data.decode())))
+    work = tmp_path_factory.mktemp("metamorphic")
+    expected = rules_json(work, data)
+    assert rules_json(work, permuted.getvalue().encode()) == expected
+
+
 HASH_SEED_SCHEMA = """\
 missing_tokens: ["", "na"]
 columns:
@@ -454,9 +517,19 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         assert child.returncode == 0, child.stderr.decode()
         outputs.append(child.stdout)
     assert outputs[0] == outputs[1]
-    (_, rules, _), _, (_, compare, _), (_, _, report), (verdict, equivalent, _) = json.loads(outputs[0])
+    (_, rules, _), (_, fpgrowth, _), (_, compare, _), (_, _, report), (verdict, equivalent, _) = json.loads(outputs[0])
     assert len(rules.splitlines()) > 50 and '"equity"' in rules and '"minority"' in rules
-    assert compare["rows"][0]["error"] is None
+    # Each compare row counts and averages its miner's rules exactly: the sums run in the same order.
+    for name, lines, row in zip(("apriori", "fpgrowth"), (rules, fpgrowth), compare["rows"], strict=True):
+        records = [json.loads(line) for line in lines.splitlines()]
+        n = len(records)
+        assert row == {
+            "algorithm": name, "total_rules": n,
+            "equity_rules": sum("equity" in r["tags"] for r in records),
+            "minority_rules": sum("minority" in r["tags"] for r in records),
+            **{f"avg_{m}": sum(r[m] for r in records) / n for m in ("support", "confidence", "lift")},
+            "error": None,
+        }
     assert "ignored" in report and (verdict, equivalent) == (0, "equivalent\n")
 
 
@@ -515,11 +588,13 @@ def test_count_below_one_is_config_error(data_dir, capsys, command, algorithm, o
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value,message", [("0", "must be >= 1"), ("25", "must be in 1..24")])
-def test_max_oracle_items_out_of_range(data_dir, capsys, value, message):
-    assert main(["verify", *d5_args(data_dir), "--max-oracle-items", value]) == 2
+@pytest.mark.parametrize("value,message", [("0", "must be in 1..24"), ("25", "must be in 1..24")])
+def test_max_oracle_items_out_of_range(data_dir, tmp_path, capsys, value, message):
+    # Exit 2, not 1 for the missing file: the input is never opened.
+    missing = ["--input", str(tmp_path / "no-such-file.csv"), "--schema", str(data_dir / "d5.yaml")]
+    assert main(["verify", *missing, "--max-oracle-items", value]) == 2
     captured = capsys.readouterr()
-    assert f"max-oracle-items {message}" in captured.err
+    assert captured.err == f"error: max-oracle-items {message}\n"
     assert captured.out == ""
 
 
