@@ -47,6 +47,8 @@ class ColumnSpec:
     bins: tuple[Bin, ...] = ()
 
     def __post_init__(self):
+        if not self.name:  # its items would be labelled "_value"
+            raise ValueError("a column name is empty")
         if "_" in self.name:
             raise ValueError(f"column name {self.name!r} contains '_' (reserved separator)")
         if self.kind not in (CATEGORICAL, NUMERIC_BINNED, DROP):
@@ -140,11 +142,15 @@ def _mapping(value, what: str) -> Mapping:
     return value
 
 
-def _known(value, keys: tuple[str, ...], what: str) -> Mapping:
-    """_mapping(value, what) with no key outside keys: a misspelt key is an error, not ignored."""
+def _known(value, keys: tuple[str, ...], what: str, required: tuple[str, ...] = ()) -> Mapping:
+    """_mapping(value, what) with no key outside keys and every key in
+    required: a misspelt key is an error, not ignored."""
     unknown = sorted(str(k) for k in _mapping(value, what) if k not in keys)
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
+    absent = [k for k in required if k not in value]
+    if absent:
+        raise ValueError(f"{what} has no {absent[0]!r}: {dict(value)!r}")
     return value
 
 
@@ -167,8 +173,8 @@ def load_schema(path: str | Path) -> SchemaSpec:
         doc = yaml.safe_load(fh) or {}
     doc = _known(doc, ("columns", "missing_tokens", "consistency_rules", "keep"), "the schema")
     columns = []
-    for entry in doc.get("columns", []):
-        entry = _known(entry, ("name", "kind", "missing_tokens", "bins"), "a column entry")
+    for entry in _sequence(doc.get("columns", []), "columns"):
+        entry = _known(entry, ("name", "kind", "missing_tokens", "bins"), "a column entry", ("name",))
         name = str(entry["name"])
         tokens = entry.get("missing_tokens")
         if tokens is not None:
@@ -178,12 +184,12 @@ def load_schema(path: str | Path) -> SchemaSpec:
                 name=name,
                 kind=str(entry.get("kind", CATEGORICAL)),
                 missing_tokens=tokens,
-                bins=tuple(map(_bin, entry.get("bins", []))),
+                bins=tuple(map(_bin, _sequence(entry.get("bins", []), f"column {name!r}: bins"))),
             )
         )
     rules = []
-    for entry in doc.get("consistency_rules", []):
-        entry = _known(entry, ("description", "conjuncts"), "a consistency rule")
+    for entry in _sequence(doc.get("consistency_rules", []), "consistency_rules"):
+        entry = _known(entry, ("description", "conjuncts"), "a consistency rule", ("description", "conjuncts"))
         conjuncts = _mapping(entry["conjuncts"], "conjuncts")
         rules.append(ConsistencyRule(
             description=str(entry["description"]),

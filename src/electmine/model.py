@@ -63,8 +63,8 @@ class ItemDictionary:
     def __post_init__(self):
         seen: set[str] = set()
         for label in self.labels:
-            _, sep, value = label.partition("_")
-            if not sep:
+            attribute, sep, value = label.partition("_")
+            if not attribute or not sep:
                 raise ValueError(f"item label {label!r} has no attribute prefix")
             if not value:
                 raise ValueError(f"item label {label!r} has an empty value")

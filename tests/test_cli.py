@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -185,6 +186,12 @@ BAD_INPUTS = [
     ("scalar-missing-tokens", "missing_tokens: na\ncolumns:\n  - name: a\n", "dir", None, 2),
     ("scalar-column-missing-tokens", "columns:\n  - name: a\n    missing_tokens: na\n", "dir", None, 2),
     ("scalar-keep", "columns:\n  - name: race\nkeep: race\n", "dir", None, 2),
+    # An entry without a key it needs is named, not reported as the bare key.
+    ("column-without-name", "columns:\n  - kind: drop\n", "dir", None, 2),
+    ("rule-without-description", "columns:\n  - name: a\n  - name: b\nconsistency_rules:\n"
+                                 "  - conjuncts: {a: '1', b: '1'}\n", "dir", None, 2),
+    # An empty column name would label its items "_value".
+    ("empty-column-name", "columns:\n  - name: ''\n  - name: a\n", "dir", None, 2),
     # A misspelt key is a schema error that names the key, never dropped silently.
     ("column-key", "column:\n  - name: a\n", "dir", None, 2),
     ("missing-token-key", "missing_token: [na]\ncolumns:\n  - name: a\n", "dir", None, 2),
@@ -243,6 +250,9 @@ SCHEMA_FAULTS = {
     "missing-token-key": "the schema has unknown keys ['missing_token']",
     "bin-key": "a column entry has unknown keys ['bin']",
     "conjunct-key": "a consistency rule has unknown keys ['conjunct']",
+    "column-without-name": "a column entry has no 'name': {'kind': 'drop'}",
+    "rule-without-description": "a consistency rule has no 'description': {'conjuncts': {'a': '1', 'b': '1'}}",
+    "empty-column-name": "a column name is empty",
     "keep-twice": "keep columns named twice: ['a']",
     "keep-drop": "keep columns of kind drop: ['b']",
     "bins-not-binned": "column 'a': bins need kind numeric_binned, not 'categorical'",
@@ -418,19 +428,35 @@ bench_gen = _load_bench_gen()
 SPAE_SCHEMA = str(Path(__file__).parents[1] / "configs" / "spae2022.yaml")
 
 
-def rules_json(work: Path, data: bytes) -> list[tuple[int, str]]:
-    """rules --format json's exit code and stdout, for each miner, on data at
-    support 0.1: tens to hundreds of rules at 150-400 rows."""
+def cli_json(work: Path, data: bytes, *argv: str) -> list[str]:
+    """The stdout of electmine ARGV --format json on data with the spae
+    schema, for each miner; each must exit 0 and write something."""
     (work / "input.csv").write_bytes(data)
     found = []
     for algorithm in ("apriori", "fpgrowth"):
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = main(["rules", "--format", "json", "--input", str(work / "input.csv"), "--schema", SPAE_SCHEMA,
-                         "--algorithm", algorithm, "--min-support", "0.1"])
-        found.append((code, out.getvalue()))
-    assert all(code == 0 and out for code, out in found)
+            code = main([*argv, "--format", "json", "--input", str(work / "input.csv"), "--schema", SPAE_SCHEMA,
+                         "--algorithm", algorithm])
+        assert code == 0 and out.getvalue()
+        found.append(out.getvalue())
     return found
+
+
+def rules_json(work: Path, data: bytes) -> list[str]:
+    """rules --format json's stdout for each miner on data at support 0.1:
+    tens to hundreds of rules at 150-400 rows."""
+    return cli_json(work, data, "rules", "--min-support", "0.1")
+
+
+def csv_table(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode())))
+
+
+def csv_bytes(rows) -> bytes:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -444,18 +470,89 @@ def test_rules_do_not_change_when_every_row_appears_twice(tmp_path_factory, seed
     assert rules_json(work, header + b"".join(line + line for line in lines)) == expected
 
 
+def report_tallies(work: Path, data: bytes) -> dict[str, int]:
+    """Each line of ingest --report's clean report, as its count by the text before it."""
+    (work / "input.csv").write_bytes(data)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(["ingest", "--report", "--input", str(work / "input.csv"), "--schema", SPAE_SCHEMA]) == 0
+    lines = [line.rsplit(": ", 1) for line in err.getvalue().splitlines() if line.startswith("  ")]
+    return {key: int(count) for key, count in lines}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 1000), rows=st.integers(150, 400))
+def test_every_report_tally_doubles_when_every_row_appears_twice(tmp_path_factory, seed, rows):
+    header, *lines = bench_gen.spae_csv(seed, rows).data.splitlines(keepends=True)
+    work = tmp_path_factory.mktemp("metamorphic")
+    single = report_tallies(work, header + b"".join(lines))
+    assert single and report_tallies(work, header + b"".join(line + line for line in lines)) == {
+        key: 2 * count for key, count in single.items()}
+
+
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 1000), rows=st.integers(150, 400),
        order=st.permutations(range(len(bench_gen.SPAE_HEADER))))
 def test_rules_do_not_change_when_the_columns_are_permuted(tmp_path_factory, seed, rows, order):
     # Columns are found by name and items are encoded in the schema's order.
     data = bench_gen.spae_csv(seed, rows).data
-    permuted = io.StringIO()
-    csv.writer(permuted, lineterminator="\n").writerows(
-        [row[i] for i in order] for row in csv.reader(io.StringIO(data.decode())))
+    permuted = csv_bytes([row[i] for i in order] for row in csv_table(data))
     work = tmp_path_factory.mktemp("metamorphic")
     expected = rules_json(work, data)
-    assert rules_json(work, permuted.getvalue().encode()) == expected
+    assert rules_json(work, permuted) == expected
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 1000), rows=st.integers(150, 400), at=st.integers(0, len(bench_gen.SPAE_HEADER)))
+def test_rules_stdout_does_not_change_with_an_unnamed_column(tmp_path_factory, seed, rows, at):
+    # load ignores a column the schema does not name; only stderr's warning counts it.
+    data = bench_gen.spae_csv(seed, rows).data
+    extended = csv_bytes([*row[:at], "note" if i == 0 else f"n{i % 7}", *row[at:]]
+                         for i, row in enumerate(csv_table(data)))
+    work = tmp_path_factory.mktemp("metamorphic")
+    expected = rules_json(work, data)
+    assert rules_json(work, extended) == expected
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 1000), rows=st.integers(150, 400), k=st.integers(1, 3))
+def test_mine_max_len_gives_the_full_output_up_to_k_items(tmp_path_factory, seed, rows, k):
+    work = tmp_path_factory.mktemp("metamorphic")
+    data = bench_gen.spae_csv(seed, rows).data
+    full = cli_json(work, data, "mine", "--min-support", "0.1")
+    cut = ["".join(line for line in out.splitlines(keepends=True) if len(json.loads(line)["items"]) <= k)
+           for out in full]
+    assert cli_json(work, data, "mine", "--min-support", "0.1", "--max-len", str(k)) == cut
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 1000), rows=st.integers(150, 400), low=st.integers(8, 15), rise=st.integers(1, 10))
+def test_a_higher_min_support_mines_a_subset_of_the_itemsets(tmp_path_factory, seed, rows, low, rise):
+    # An itemset's line holds its count and its support, count / N, which the threshold does not move.
+    work = tmp_path_factory.mktemp("metamorphic")
+    data = bench_gen.spae_csv(seed, rows).data
+    found = cli_json(work, data, "mine", "--min-support", str(low / 100))
+    fewer = cli_json(work, data, "mine", "--min-support", str((low + rise) / 100))
+    assert all(set(few.splitlines()) <= set(out.splitlines()) for few, out in zip(fewer, found))
+
+
+def rule_set(output: str) -> list[str]:
+    """rules --format json's rules as sets of labels with their metrics and tags."""
+    records = [json.loads(line) for line in output.splitlines()]
+    return sorted(json.dumps({**r, "antecedent": sorted(r["antecedent"]), "consequent": sorted(r["consequent"])},
+                             sort_keys=True) for r in records)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 1000), rows=st.integers(150, 400), shuffle=st.integers(0, 2**32 - 1))
+def test_rules_do_not_change_as_sets_when_the_rows_are_permuted(tmp_path_factory, seed, rows, shuffle):
+    # Item ids follow first encounter, and ties in lift and confidence are
+    # ordered by id, so the labels and the order of the lines move.
+    header, *lines = bench_gen.spae_csv(seed, rows).data.splitlines(keepends=True)
+    work = tmp_path_factory.mktemp("metamorphic")
+    expected = [rule_set(out) for out in rules_json(work, header + b"".join(lines))]
+    random.Random(shuffle).shuffle(lines)
+    assert [rule_set(out) for out in rules_json(work, header + b"".join(lines))] == expected
 
 
 HASH_SEED_SCHEMA = """\

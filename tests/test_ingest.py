@@ -241,13 +241,17 @@ def test_load_counts_only_the_missing_cells_of_a_dropped_row(tmp_path):
 def test_schema_rejects_a_scalar_for_a_list(tmp_path):
     # yaml reads "na" as a string, which would become the tokens {'n', 'a'}.
     path = tmp_path / "schema.yaml"
-    for text, what in [
-        ("missing_tokens: na\ncolumns:\n  - name: a\n", "missing_tokens"),
-        ("columns:\n  - name: a\n    missing_tokens: na\n", "column 'a': missing_tokens"),
-        ("columns:\n  - name: race\nkeep: race\n", "keep"),
+    for text, what, kind in [
+        ("missing_tokens: na\ncolumns:\n  - name: a\n", "missing_tokens", "str"),
+        ("columns:\n  - name: a\n    missing_tokens: na\n", "column 'a': missing_tokens", "str"),
+        ("columns:\n  - name: race\nkeep: race\n", "keep", "str"),
+        ("columns:\n", "columns", "NoneType"),
+        ("columns: {a: 1}\n", "columns", "dict"),
+        ("columns:\n  - name: age\n    kind: numeric_binned\n    bins: 5\n", "column 'age': bins", "int"),
+        ("columns:\n  - name: a\nconsistency_rules: a\n", "consistency_rules", "str"),
     ]:
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{what} must be a list, not str$"):
+        with pytest.raises(ValueError, match=f"^{what} must be a list, not {kind}$"):
             load_schema(path)
 
 

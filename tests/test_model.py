@@ -195,12 +195,13 @@ def test_settings_raise_config_error(make):
 
 @pytest.mark.parametrize("make,message", [
     (lambda: ItemDictionary(("a1",)), "'a1' has no attribute prefix"),
+    (lambda: ItemDictionary(("_1",)), "'_1' has no attribute prefix"),
     (lambda: ItemDictionary(("a_",)), "'a_' has an empty value"),
     (lambda: ItemDictionary(("a_1", "b_1", "a_1")), "duplicate item label 'a_1'"),
     (lambda: FrequentItemset((0,), 0, 0.0), "must occur at least once"),
     (lambda: generate_candidates([(0,), (1,)], 1), "starts at k=2"),
     (lambda: brute_force_frequent(TransactionDb((), n_items=2), 0.5), "empty transaction database"),
-], ids=["label-prefix", "label-value", "label-twice", "count-zero", "k-below-2", "oracle-empty-db"])
+], ids=["label-prefix", "label-empty-prefix", "label-value", "label-twice", "count-zero", "k-below-2", "oracle-empty-db"])
 def test_bad_values_raise_value_error(make, message):
     # A fault in the data, not a setting: the CLI maps it to exit 1, not 2.
     with pytest.raises(ValueError, match=message) as raised:
