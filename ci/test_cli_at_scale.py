@@ -58,11 +58,15 @@ def test_a_full_stdout_is_an_error_line(inputs, name, command):
     assert err.splitlines()[-1] == "error: cannot write output <stdout>: No space left on device"
 
 
-def same_itemsets(data, *thresholds) -> bytes:
-    """mine --format csv's stdout on data (an Input), byte-identical from Apriori and FP-Growth."""
+MINERS = ("apriori", "fpgrowth")
+
+
+def same_itemsets(data, algorithms, *thresholds) -> bytes:
+    """mine --format csv's stdout on data (an Input), byte-identical from each of algorithms."""
     children = [cli("mine", *data.args, "--format", "csv", "--algorithm", algorithm, *thresholds)
-                for algorithm in ("apriori", "fpgrowth")]
-    assert [c.returncode for c in children] == [0, 0] and children[0].stdout == children[1].stdout
+                for algorithm in algorithms]
+    assert [c.returncode for c in children] == [0] * len(algorithms), [c.stderr for c in children]
+    assert len({c.stdout for c in children}) == 1
     return children[0].stdout
 
 
@@ -76,15 +80,23 @@ def same_itemsets(data, *thresholds) -> bytes:
     ("spae50k", "--min-support 0.02 --max-len 2"), ("spae50k", "--min-support 0.02 --max-len 3"),
     ("spae50k", "--min-support 0.03 --max-len 2"), ("spae50k", "--min-support 0.03 --max-len 3")])
 def test_miners_agree_at_other_thresholds(inputs, name, thresholds):
-    same_itemsets(inputs[name], *thresholds.split())
+    same_itemsets(inputs[name], MINERS, *thresholds.split())
 
 
 # Every pinned run has 54 items or fewer, so a node path fits one 64-rank
 # word; here 130 items are frequent, and itemsets reach three items and more.
 def test_miners_agree_past_one_mask_word(inputs):
-    out = same_itemsets(inputs["wide"], "--min-support", "0.05").decode()
+    out = same_itemsets(inputs["wide"], MINERS, "--min-support", "0.05").decode()
     sizes = [len(row["items"].split(";")) for row in csv.DictReader(io.StringIO(out))]
     assert sizes.count(1) > 128 and max(sizes) >= 3
+
+
+# Only tier-1's small inputs check what mine --algorithm oracle writes; here
+# the oracle and both miners mine the 18-item verify-oracle input.
+@pytest.mark.parametrize("support,itemsets", [("0.05", 281), ("0.01", 1204)])
+def test_oracle_mines_the_miners_bytes(inputs, support, itemsets):
+    out = same_itemsets(inputs["oracle"], (*MINERS, "oracle"), "--min-support", support).decode()
+    assert len(list(csv.DictReader(io.StringIO(out)))) == itemsets
 
 
 # The pinned verify-oracle run checks rules only at support 0.05 with the

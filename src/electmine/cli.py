@@ -112,7 +112,7 @@ def _load_pipeline(args) -> tuple[ItemDictionary, TransactionDb, ingest.CleanRep
         schema = ingest.load_schema(args.schema)
     except OSError as exc:
         raise ValueError(f"cannot read schema {args.schema}: {exc.strerror or exc}") from exc
-    except (ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
+    except (ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"bad schema {args.schema}: {exc}") from exc
     try:
         dictionary, db, report = ingest.load(schema, args.input)

@@ -11,7 +11,7 @@ configs/spae2022.yaml for a complete example.
 from __future__ import annotations
 
 import csv
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
@@ -136,75 +136,74 @@ class LoadResult:
     ignored_columns: tuple[str, ...]
 
 
-def _mapping(value, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{what} must be a mapping, not {type(value).__name__}")
-    return value
+TEXT, NUMBER = "text", "a number"
+# A YAML mapping's shape. what names it in its own errors. If named is set,
+# its first key names it: its keys' errors start with named, formatted with
+# the keys read so far, or, for that first key, with what and the mapping.
+_Record = namedtuple("_Record", "what keys required named", defaults=((), ""))
+# The schema document's shape, declared once. A shape is TEXT, NUMBER, a
+# _Record, [shape] (a list), {shape} (a list read as a set), {TEXT: TEXT} (a
+# mapping read as sorted pairs) or a tuple of (name, shape) positions (a list
+# of exactly those).
+_SCHEMA = _Record("the schema", {
+    "missing_tokens": {TEXT},
+    "columns": [_Record("a column entry", {
+        "name": TEXT, "kind": TEXT, "missing_tokens": {TEXT},
+        "bins": [(("lower", NUMBER), ("upper", NUMBER), ("label", TEXT))]}, ("name",), "column {name!r}: ")],
+    "consistency_rules": [_Record("a consistency rule", {"description": TEXT, "conjuncts": {TEXT: TEXT}},
+                                  ("description", "conjuncts"), "consistency rule {description!r}: ")],
+    "keep": [TEXT],
+})
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser where PyYAML has it
 
 
-def _known(value, keys: tuple[str, ...], what: str, required: tuple[str, ...] = ()) -> Mapping:
-    """_mapping(value, what) with no key outside keys and every key in
-    required: a misspelt key is an error, not ignored."""
-    unknown = sorted(str(k) for k in _mapping(value, what) if k not in keys)
-    if unknown:
-        raise ValueError(f"{what} has unknown keys {unknown}")
-    absent = [k for k in required if k not in value]
-    if absent:
-        raise ValueError(f"{what} has no {absent[0]!r}: {dict(value)!r}")
-    return value
-
-
-def _sequence(value, what: str) -> list:
-    # A YAML scalar is iterable too: "missing_tokens: na" would read as {'n', 'a'}.
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
-    return value
-
-
-def _bin(entry) -> Bin:
-    if not isinstance(entry, list) or len(entry) != 3:
-        raise ValueError(f"a bin is [lower, upper, label], not {entry!r}")
-    return Bin(float(entry[0]), float(entry[1]), str(entry[2]))
+def _read(value, shape, what: str = ""):
+    """value checked against shape and converted, or a ValueError that names
+    it: TEXT (a YAML string or number) to a str, NUMBER (a number or text that
+    float() reads) to a float, a list to a tuple, a set to a frozenset."""
+    if isinstance(shape, str):  # never a null, a boolean, a list or a mapping
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            try:
+                return str(value) if shape == TEXT else float(value)
+            except (ValueError, OverflowError):  # text that is no number, or an int past float's range
+                pass
+        raise ValueError(f"{what} must be {shape}, not {value!r}")
+    what = shape.what if isinstance(shape, _Record) else what
+    kind = "mapping" if isinstance(shape, (_Record, dict)) else "list"
+    if not isinstance(value, dict if kind == "mapping" else list):
+        raise ValueError(f"{what} must be a {kind}, not {type(value).__name__}")
+    if isinstance(shape, _Record):
+        unknown = sorted(str(k) for k in value if k not in shape.keys)
+        if unknown:
+            raise ValueError(f"{what} has unknown keys {unknown}")
+        absent = [k for k in shape.required if k not in value]
+        if absent:
+            raise ValueError(f"{what} has no {absent[0]!r}: {value!r}")
+        out, prefix = {}, f"{what} {value!r}: " if shape.named else ""
+        for key in (k for k in shape.keys if k in value):
+            out[key] = _read(value[key], shape.keys[key], prefix + key)
+            prefix = shape.named.format_map(out)
+        return out
+    if isinstance(shape, dict):
+        ((key, item),) = shape.items()
+        pairs = ((_read(k, key, f"{what} key"), _read(v, item, f"{what}[{k!r}]")) for k, v in value.items())
+        return tuple(sorted(pairs))
+    if isinstance(shape, tuple):
+        if len(value) != len(shape):
+            raise ValueError(f"{what} must be [{', '.join(name for name, _ in shape)}], not {value!r}")
+        return tuple(_read(v, item, f"{what} {name}") for v, (name, item) in zip(value, shape))
+    items = (_read(v, *shape, f"{what}[{i}]") for i, v in enumerate(value))
+    return frozenset(items) if isinstance(shape, set) else tuple(items)
 
 
 def load_schema(path: str | Path) -> SchemaSpec:
     """Parse a YAML schema into a SchemaSpec; ValueError if it has the wrong shape."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    doc = _known(doc, ("columns", "missing_tokens", "consistency_rules", "keep"), "the schema")
-    columns = []
-    for entry in _sequence(doc.get("columns", []), "columns"):
-        entry = _known(entry, ("name", "kind", "missing_tokens", "bins"), "a column entry", ("name",))
-        name = str(entry["name"])
-        tokens = entry.get("missing_tokens")
-        if tokens is not None:
-            tokens = frozenset(map(str, _sequence(tokens, f"column {name!r}: missing_tokens")))
-        columns.append(
-            ColumnSpec(
-                name=name,
-                kind=str(entry.get("kind", CATEGORICAL)),
-                missing_tokens=tokens,
-                bins=tuple(map(_bin, _sequence(entry.get("bins", []), f"column {name!r}: bins"))),
-            )
-        )
-    rules = []
-    for entry in _sequence(doc.get("consistency_rules", []), "consistency_rules"):
-        entry = _known(entry, ("description", "conjuncts"), "a consistency rule", ("description", "conjuncts"))
-        conjuncts = _mapping(entry["conjuncts"], "conjuncts")
-        rules.append(ConsistencyRule(
-            description=str(entry["description"]),
-            conjuncts=tuple(sorted((str(k), str(v)) for k, v in conjuncts.items())),
-        ))
-    default_tokens = doc.get("missing_tokens")
-    return SchemaSpec(
-        columns=tuple(columns),
-        default_missing_tokens=(
-            frozenset(map(str, _sequence(default_tokens, "missing_tokens")))
-            if default_tokens is not None else DEFAULT_MISSING_TOKENS
-        ),
-        consistency_rules=tuple(rules),
-        keep=tuple(map(str, _sequence(doc.get("keep", []), "keep"))),
-    )
+        doc = _read(yaml.load(fh, _LOADER) or {}, _SCHEMA)
+    columns = tuple(ColumnSpec(c["name"], c.get("kind", CATEGORICAL), c.get("missing_tokens"),
+                               tuple(Bin(*b) for b in c.get("bins", ()))) for c in doc.get("columns", ()))
+    rules = tuple(ConsistencyRule(r["description"], r["conjuncts"]) for r in doc.get("consistency_rules", ()))
+    return SchemaSpec(columns, doc.get("missing_tokens", DEFAULT_MISSING_TOKENS), rules, doc.get("keep", ()))
 
 
 def load(schema: SchemaSpec, path: str | Path) -> tuple[ItemDictionary, TransactionDb, CleanReport]:

@@ -166,6 +166,10 @@ def test_format_rejected_where_output_is_fixed(data_dir, capsys, command):
 # --input is None for d5.csv, "dir" for a directory, or the bytes of the
 # input file; --output "dir" is a directory, "no-parent" a file in a missing
 # directory.
+# RULE_ON_A takes a's conjunct value, BINS_OF_A the values of a's one bin.
+RULE_ON_A = ("columns:\n  - name: a\n  - name: b\nconsistency_rules:\n  - description: x\n"
+             "    conjuncts: {{a: {}, b: '1'}}\n")
+BINS_OF_A = "columns:\n  - name: a\n    kind: numeric_binned\n    bins: [[{}]]\n"
 BAD_INPUTS = [
     ("yaml-syntax", "columns: [a, b\n", None, None, 2),
     ("top-level-list", "- name: a\n", None, None, 2),
@@ -207,6 +211,24 @@ BAD_INPUTS = [
                             "    conjuncts: {a: '1', q99: '1'}\n", "dir", None, 2),
     ("rule-drop-column", "columns:\n  - name: a\n  - name: d\n    kind: drop\nconsistency_rules:\n"
                          "  - description: x\n    conjuncts: {a: '1', d: '1'}\n", "dir", None, 2),
+    # Where the format wants text or a number, a null, a boolean (yes, no, on and off too), a
+    # list or a mapping is an error that names its column or rule, never read as its text.
+    ("conjunct-list", RULE_ON_A.format("[1, 2]"), "dir", None, 2),
+    ("conjunct-null", RULE_ON_A.format("null"), "dir", None, 2),
+    ("conjunct-yes", RULE_ON_A.format("yes"), "dir", None, 2),
+    ("bin-bound-text", BINS_OF_A.format("1, abc, x"), "dir", None, 2),
+    ("bin-bound-list", BINS_OF_A.format("1, [2], x"), "dir", None, 2),
+    ("bin-bound-true", BINS_OF_A.format("true, 5, x"), "dir", None, 2),
+    ("bin-bound-huge", BINS_OF_A.format(f"1, {10 ** 400}, x"), "dir", None, 2),  # float() overflows
+    ("bin-label-null", BINS_OF_A.format("1, 5, null"), "dir", None, 2),
+    ("bin-label-list", BINS_OF_A.format("1, 5, [x]"), "dir", None, 2),
+    ("name-null", "columns:\n  - name: null\n", "dir", None, 2),
+    ("missing-token-null", "missing_tokens: [na, null]\ncolumns:\n  - name: a\n", "dir", None, 2),
+    ("column-missing-token-null", "columns:\n  - name: a\n    missing_tokens: [na, null]\n", "dir", None, 2),
+    ("description-null", "columns:\n  - name: a\n  - name: b\nconsistency_rules:\n  - description: null\n"
+                         "    conjuncts: {a: '1', b: '1'}\n", "dir", None, 2),
+    # A null missing_tokens once meant the default tokens.
+    ("missing-tokens-null", "missing_tokens: null\ncolumns:\n  - name: a\n", "dir", None, 2),
     ("input-is-directory", None, "dir", None, 1),
     ("oversized-field", None, b"a,b,c\n1,1,1\n1," + b"x" * 131_073 + b",1\n", None, 1),
     ("non-utf8", None, b"a,b,c\n1,1,1\n1,\xff,1\n", None, 1),
@@ -239,6 +261,7 @@ def test_bad_input_exits_without_traceback(data_dir, tmp_path, what, schema, inp
         assert child.stderr.startswith("error: cannot write output ")
     if code == 2:
         assert child.stderr.startswith(f"error: bad schema {schema_path}: {SCHEMA_FAULTS.get(what, '')}")
+        assert what not in SCHEMA_FAULTS or child.stderr.count("\n") == 1  # YAML's own errors span lines
     if schema == "dir":
         assert child.stderr.startswith(f"error: cannot read schema {schema_path}: ")
     if isinstance(input_, bytes):  # the file, and the line or the column at fault
@@ -261,6 +284,21 @@ SCHEMA_FAULTS = {
     "duplicate-schema-column": "duplicate column names in schema",
     "rule-unknown-column": "consistency rule columns absent from schema: ['q99']",
     "rule-drop-column": "consistency rule columns of kind drop: ['d']",
+    "conjunct-list": "consistency rule 'x': conjuncts['a'] must be text, not [1, 2]",
+    "conjunct-null": "consistency rule 'x': conjuncts['a'] must be text, not None",
+    "conjunct-yes": "consistency rule 'x': conjuncts['a'] must be text, not True",
+    "bin-bound-text": "column 'a': bins[0] upper must be a number, not 'abc'",
+    "bin-bound-list": "column 'a': bins[0] upper must be a number, not [2]",
+    "bin-bound-true": "column 'a': bins[0] lower must be a number, not True",
+    "bin-bound-huge": f"column 'a': bins[0] upper must be a number, not {10 ** 400}",
+    "bin-label-null": "column 'a': bins[0] label must be text, not None",
+    "bin-label-list": "column 'a': bins[0] label must be text, not ['x']",
+    "name-null": "a column entry {'name': None}: name must be text, not None",
+    "missing-token-null": "missing_tokens[1] must be text, not None",
+    "column-missing-token-null": "column 'a': missing_tokens[1] must be text, not None",
+    "description-null": ("a consistency rule {'description': None, 'conjuncts': {'a': '1', 'b': '1'}}: "
+                         "description must be text, not None"),
+    "missing-tokens-null": "missing_tokens must be a list, not NoneType",
 }
 
 

@@ -1,9 +1,12 @@
+import copy
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from electmine import ingest
 from electmine.cli import main
 from electmine.ingest import (
     DROP,
+    NUMERIC_BINNED,
     Bin,
     ColumnSpec,
     ConsistencyRule,
@@ -25,6 +29,8 @@ from electmine.ingest import (
 from electmine.model import encode_rows
 
 from conftest import direct_load
+
+ROOT = Path(__file__).parents[1]
 
 AGE_BINS = (
     Bin(18, 29, "18-29"),
@@ -293,21 +299,67 @@ consistency_rules:
       age: "17"
 """
     )
-    schema = load_schema(path)
-    assert [c.name for c in schema.columns] == ["q9", "age"]
-    assert schema.keep == ("q9", "age")
-    assert schema.default_missing_tokens == frozenset({"", "skip"})
-    assert schema.consistency_rules[0].description == "impossible combo"
-    assert schema.columns[1].bins[1].label == "30+"
+    assert load_schema(path) == SchemaSpec(
+        columns=(ColumnSpec("q9"),
+                 ColumnSpec("age", NUMERIC_BINNED, bins=(Bin(18, 29, "18-29"), Bin(30, 120, "30+")))),
+        default_missing_tokens=frozenset({"", "skip"}),
+        consistency_rules=(ConsistencyRule("impossible combo", (("age", "17"), ("q9", "No"))),),
+        keep=("q9", "age"),
+    )
 
 
 def test_shipped_spae_schema_parses():
-    from pathlib import Path
+    names = ("race", "income", "gender", "location", "newsint", "q4", "q5", "q9", "q12", "q39", "q40", "q41", "q55")
+    assert load_schema(ROOT / "configs" / "spae2022.yaml") == SchemaSpec(
+        columns=(*map(ColumnSpec, names), ColumnSpec("age", NUMERIC_BINNED, bins=AGE_BINS)),
+        default_missing_tokens=frozenset({"", "na", "nan"}),
+        consistency_rules=(ConsistencyRule("mail voter reporting an Election-Day polling-place wait over an hour",
+                                           (("q12", "More than an hour"), ("q4", "Voted by mail (or absentee)"))),),
+        keep=("race", "income", "age", "gender", "q55", "location", "q12", "q5", "q9", "q39", "q40", "q41",
+              "newsint", "q4"),
+    )
 
-    schema = load_schema(Path(__file__).parents[1] / "configs" / "spae2022.yaml")
-    assert len(schema.keep) == 14
-    assert {c.name: c for c in schema.columns}["age"].kind == "numeric_binned"
-    assert len(schema.consistency_rules) >= 1
+
+def test_benchmark_and_test_schemas_load_whole():
+    p = tuple(f"p{i}" for i in range(1, 7))
+    assert load_schema(ROOT / "electbench" / "oracle6.yaml") == SchemaSpec(
+        columns=tuple(map(ColumnSpec, p)), default_missing_tokens=frozenset({"", "na", "nan"}), keep=p)
+    assert load_schema(ROOT / "tests" / "data" / "d5.yaml") == SchemaSpec(
+        columns=tuple(map(ColumnSpec, "abc")), keep=tuple("abc"))
+
+
+def _value_paths(node, path=()):
+    """The path of every value in a YAML document, its root included."""
+    yield path
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ():
+        yield from _value_paths(child, (*path, key))
+
+
+SPAE_DOC = yaml.safe_load((ROOT / "configs" / "spae2022.yaml").read_text())
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(deadline=None)
+@example(path=("columns", 13, "bins", 0, 1), value=[2])  # float() raises TypeError on a list
+@example(path=("columns", 13, "bins", 0, 0), value=10 ** 400)  # and OverflowError on an int this large
+@given(path=st.sampled_from(list(_value_paths(SPAE_DOC))), value=yaml_values)
+def test_load_schema_raises_only_value_errors(tmp_path_factory, path, value):
+    # Any value at any path of the shipped schema loads or is a ValueError, never another exception.
+    doc = parent = [copy.deepcopy(SPAE_DOC)]  # the document at index 0, so that its root has a parent too
+    *walk, last = (0, *path)
+    for key in walk:
+        parent = parent[key]
+    parent[last] = value
+    schema_path = tmp_path_factory.getbasetemp() / "mutated.yaml"
+    schema_path.write_text(yaml.safe_dump(doc[0]))
+    try:
+        assert isinstance(load_schema(schema_path), SchemaSpec)
+    except (ValueError, yaml.YAMLError):
+        pass
 
 
 # Cells for the load property test: padding, missing tokens in mixed case,
