@@ -1,8 +1,8 @@
 """Level-wise Apriori miner with join-and-prune candidate generation.
 
 Each level is an (m, k) `intp` array of item ids whose rows are in
-lexicographic order, from counting through to the next join; tuples appear
-only in the final FrequentItemset list. A level is counted by the shared
+lexicographic order, from counting through to the next join and into the
+ItemsetTable returned; no tuple is built. A level is counted by the shared
 counting kernel, and its frequent rows are kept with a boolean mask.
 Candidate generation (Agrawal & Srikant, VLDB 1994) merges (k-1)-itemsets
 sharing their first k-2 items and prunes any candidate with an infrequent
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .model import FrequentItemset, ItemSet, MinerConfig, TransactionDb, row_keys, support_cutoff
+from .model import ItemSet, ItemsetTable, MinerConfig, TransactionDb, row_keys, support_cutoff
 
 
 def _join(level: np.ndarray) -> np.ndarray:
@@ -41,8 +41,8 @@ def _join(level: np.ndarray) -> np.ndarray:
     candidates[:, :width] = level[left]
     candidates[:, width] = level[right, -1]
     # The subsets without the last or the next-to-last item are the two
-    # parents; look up the k-2 others among the level's keys.
-    keys = np.sort(row_keys(level))
+    # parents; look up the k-2 others among the level's keys, which sort as its rows.
+    keys = row_keys(level)
     for drop in range(width - 1):
         subsets = row_keys(np.delete(candidates, drop, axis=1))
         at = np.minimum(np.searchsorted(keys, subsets), m - 1)
@@ -52,10 +52,10 @@ def _join(level: np.ndarray) -> np.ndarray:
 
 def generate_candidates(frequent_k_minus_1: Sequence[ItemSet], k: int) -> list[ItemSet]:
     """Join-and-prune candidate generation for level k, on tuples: `_join`
-    on the sorted, distinct (k-1)-itemsets given."""
+    on the distinct (k-1)-itemsets given, in lexicographic order."""
     if k < 2:
         raise ValueError("candidate generation starts at k=2")
-    level = np.array(sorted(set(frequent_k_minus_1)), dtype=np.intp).reshape(-1, k - 1)
+    level = np.unique(np.array(list(frequent_k_minus_1), dtype=np.intp).reshape(-1, k - 1), axis=0)
     return [tuple(c) for c in _join(level).tolist()]
 
 
@@ -68,28 +68,19 @@ def count_support(candidates: Sequence[ItemSet], db: TransactionDb) -> dict[Item
     return dict(zip(candidates, counts.tolist()))
 
 
-def mine_apriori(db: TransactionDb, cfg: MinerConfig) -> list[FrequentItemset]:
-    """All itemsets with count >= ceil(min_support * N), with exact counts.
-
-    Output is ordered by itemset length ascending, then item ids
-    lexicographic, so runs are byte-reproducible.
-    """
-    n = db.n_transactions
-    if n == 0:
+def mine_apriori(db: TransactionDb, cfg: MinerConfig) -> ItemsetTable:
+    """All itemsets with count >= ceil(min_support * N), with exact counts:
+    each frequent level as it was counted."""
+    if db.n_transactions == 0:
         raise ValueError("empty transaction database")
-    min_count = support_cutoff(cfg.min_support, n)
-
-    found: list[FrequentItemset] = []
+    found, min_count = [], support_cutoff(cfg.min_support, db.n_transactions)
     level = np.arange(db.n_items, dtype=np.intp).reshape(-1, 1)
     while len(level):
         counts = _kernels.count_itemsets(db.matrix, level)
         frequent = counts >= min_count
         level = level[frequent]
-        found.extend(
-            FrequentItemset(tuple(items), count, count / n)
-            for items, count in zip(level.tolist(), counts[frequent].tolist())
-        )
+        found.append((level, counts[frequent]))
         if level.shape[1] == cfg.max_itemset_len:
             break
         level = _join(level)
-    return found
+    return ItemsetTable(found)

@@ -250,9 +250,10 @@ def cmd_ingest(args) -> int:
 def cmd_mine(args) -> int:
     MinerConfig(args.min_support, args.max_len)
     dictionary, db = _load_db(args)
+    levels = verify.MINERS[args.algorithm](db, args.min_support, args.max_len).levels.values()
     records = [
-        {"items": [dictionary.label_of(i) for i in fs.items], "count": fs.count, "support": fs.support}
-        for fs in verify.MINERS[args.algorithm](db, args.min_support, args.max_len)
+        {"items": [dictionary.label_of(i) for i in items], "count": count, "support": count / db.n_transactions}
+        for rows, counts in levels for items, count in zip(rows.tolist(), counts.tolist())
     ]
     _emit(args, records, ITEMSET_FIELDS, ITEMSET_FIELDS, _itemset_cells)
     return 0

@@ -10,8 +10,8 @@ holds every conditional tree of one depth below one run, and one step
 (``_project``) builds the next depth's forest from all of them at once, which
 pays for numpy's per-call cost on thousands of small trees.
 
-Produces exactly the same itemsets, counts and output order as the Apriori
-miner, and is cross-checked against it and the brute-force oracle. So that
+Produces exactly the same itemset table as the Apriori miner, and is
+cross-checked against it and the brute-force oracle. So that
 check has an independent route, this module never uses the counting kernel
 or ``db.matrix``, the packed item columns Apriori counts on.
 """
@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import FrequentItemset, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
+from .model import ItemsetTable, MinerConfig, TransactionDb, support_cutoff
 
 # Bit j of v, for the 4- and 8-bit digits v; the 8 and the 16 bits of v in reverse order.
 _BITS = {b: np.unpackbits(np.arange(1 << b, dtype=np.uint8)[:, None], axis=1, bitorder="little")[:, :b].astype(float)
@@ -233,24 +233,20 @@ def _forests(tree: FPTree, min_count: int, max_len: int | None) -> Iterator[FPTr
                               np.column_stack([forest.suffix[t], k]), min_count, forest.totals.shape[1])
 
 
-def mine_fptree(tree: FPTree, min_support: float, n_transactions: int,
-                max_len: int | None = None) -> list[FrequentItemset]:
-    """Conditional-tree mining in the miners' ordering: each tree gives its
-    suffix plus each item it holds, counted by its total, up to max_len
-    items. Rejects what the Apriori miner rejects (``MinerConfig``)."""
+def mine_fptree(tree: FPTree, min_support: float, n_transactions: int, max_len: int | None = None) -> ItemsetTable:
+    """Conditional-tree mining: each tree gives its suffix plus each item it
+    holds, counted by its total, up to max_len items; one table piece per
+    forest. Rejects what the Apriori miner rejects (``MinerConfig``)."""
     MinerConfig(min_support, max_len)
     min_count = support_cutoff(min_support, n_transactions)
-    found, item_of = [], np.array(tree.items, np.int64)
+    found, item_of = [], np.array(tree.items, np.intp)
     for forest in _forests(tree, min_count, max_len):
         t, k = np.nonzero(forest.totals)
-        itemsets = np.sort(item_of[np.column_stack([forest.suffix[t], k])], axis=1)
-        found += zip(map(tuple, itemsets.tolist()), forest.totals[t, k].tolist())
-    found.sort(key=lambda pair: itemset_sort_key(pair[0]))
-    return [FrequentItemset(items, count, count / n_transactions) for items, count in found]
+        found.append((np.sort(item_of[np.column_stack([forest.suffix[t], k])], axis=1), forest.totals[t, k]))
+    return ItemsetTable(found)
 
 
-def mine_fpgrowth(db: TransactionDb, min_support: float,
-                  max_len: int | None = None) -> list[FrequentItemset]:
+def mine_fpgrowth(db: TransactionDb, min_support: float, max_len: int | None = None) -> ItemsetTable:
     """``mine_fptree`` over ``build_fptree``'s tree."""
     MinerConfig(min_support, max_len)  # before the tree is built
     return mine_fptree(build_fptree(db, min_support), min_support, db.n_transactions, max_len)

@@ -154,7 +154,17 @@ _SCHEMA = _Record("the schema", {
                                   ("description", "conjuncts"), "consistency rule {description!r}: ")],
     "keep": [TEXT],
 })
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser where PyYAML has it
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml's parser where PyYAML has it
+    def construct_mapping(self, node, deep=False):
+        """The mapping, or a ValueError naming a key it gives twice (merge keys aside) and its line."""
+        seen = set()
+        for key in (k for k, _ in node.value if isinstance(k, yaml.ScalarNode) and k.tag != "tag:yaml.org,2002:merge"):
+            if (name := self.construct_object(key)) in seen:
+                raise ValueError(f"line {key.start_mark.line + 1}: key {name!r} given twice in one mapping")
+            seen.add(name)
+        return super().construct_mapping(node, deep)
 
 
 def _read(value, shape, what: str = ""):
@@ -199,7 +209,7 @@ def _read(value, shape, what: str = ""):
 def load_schema(path: str | Path) -> SchemaSpec:
     """Parse a YAML schema into a SchemaSpec; ValueError if it has the wrong shape."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = _read(yaml.load(fh, _LOADER) or {}, _SCHEMA)
+        doc = _read(yaml.load(fh, _Loader) or {}, _SCHEMA)
     columns = tuple(ColumnSpec(c["name"], c.get("kind", CATEGORICAL), c.get("missing_tokens"),
                                tuple(Bin(*b) for b in c.get("bins", ()))) for c in doc.get("columns", ()))
     rules = tuple(ConsistencyRule(r["description"], r["conjuncts"]) for r in doc.get("consistency_rules", ()))

@@ -3,7 +3,7 @@
 Categorical records become transactions over an integer item universe: each
 answered attribute=value pair maps to one item labeled "<attribute>_<value>".
 Item ids are dense and assigned in first-encounter order so identical inputs
-always produce identical encodings.
+always produce identical encodings. Every miner returns one ItemsetTable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,10 +34,11 @@ def attribute_of(label: str) -> str:
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque scalar per row of a 2-d array, equal exactly when the rows
-    are equal. Only for membership: the keys' order is not the rows' order."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    """One scalar per row of a 2-d array of non-negative ids, its bytes as
+    big-endian int64: the keys are equal exactly when the rows are, and sort
+    (np.sort and np.searchsorted compare their bytes) as the rows do."""
+    rows = np.ascontiguousarray(rows, ">i8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
 def exact(threshold: float) -> Fraction:
@@ -135,15 +136,38 @@ class TransactionDb:
         return f"TransactionDb(transactions={self.transactions!r}, n_items={self.n_items!r})"
 
 
-@dataclass(frozen=True)
-class FrequentItemset:
+class Itemset(NamedTuple):
+    """One row of an ItemsetTable, as iterating the table gives it."""
+
     items: ItemSet
     count: int
-    support: float
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("frequent itemset must occur at least once")
+
+class ItemsetTable:
+    """The frequent itemsets every miner returns: ``levels[k]``, k ascending,
+    is an (m, k) intp array of item ids in lexicographic order, the canonical
+    output order, and its m int64 counts. Iterating yields an Itemset per row
+    in that order, built on each iteration."""
+
+    def __init__(self, pieces: Iterable[tuple[np.ndarray, np.ndarray]]):
+        """The (rows, counts) pieces, each of one length, in any order: each
+        length's rows are sorted once by row_keys, a repeated row kept twice."""
+        grouped: dict[int, list] = {}
+        for rows, counts in pieces:
+            grouped.setdefault(rows.shape[1], []).append((rows, counts))
+        self.levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for k, parts in sorted(grouped.items()):
+            rows, counts = map(np.concatenate, zip(*parts))
+            order = np.argsort(row_keys(rows), kind="stable")
+            if len(order):
+                self.levels[k] = rows[order].astype(np.intp, copy=False), counts[order].astype(np.int64, copy=False)
+
+    def __len__(self) -> int:
+        return sum(len(counts) for _, counts in self.levels.values())
+
+    def __iter__(self) -> Iterator[Itemset]:
+        for rows, counts in self.levels.values():
+            yield from map(Itemset, map(tuple, rows.tolist()), counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -158,11 +182,6 @@ class MinerConfig:
             raise ConfigError("min_support must be in (0, 1]")
         if self.max_itemset_len is not None and self.max_itemset_len < 1:
             raise ConfigError("max_itemset_len must be >= 1")
-
-
-def itemset_sort_key(items: ItemSet):
-    """Canonical output order: length ascending, then item ids lexicographic."""
-    return (len(items), items)
 
 
 def encode_rows(

@@ -2,10 +2,10 @@
 
 Rules come from splitting frequent itemsets (Agrawal & Srikant, VLDB 1994);
 support/confidence/lift are computed from the itemset counts. The itemsets
-of one length are split together as numpy arrays, each split's subset counts
-looked up for all of them at once. A float pre-test only narrows the splits:
-exact integer arithmetic against the thresholds decides, so boundary cases
-never flip on float noise.
+of one length, a level of the miners' ItemsetTable, are split together, each
+split's subset counts looked up in the table for all at once. A float
+pre-test only narrows the splits: exact integer arithmetic against the
+thresholds decides, so boundary cases never flip on float noise.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 
 from .model import (
     ConfigError,
-    FrequentItemset,
     ItemDictionary,
     ItemSet,
+    ItemsetTable,
     TransactionDb,
     attribute_of,
     exact,
@@ -123,29 +123,12 @@ def by_lift(rules: Sequence[AssociationRule]) -> list[AssociationRule]:
 _SLACK = 1e-9
 
 
-def _count_tables(frequent: Sequence[FrequentItemset]) -> dict[int, tuple[np.ndarray, ...]]:
-    """Per itemset length k >= 1: the (m, k) intp rows, their counts and
-    their row keys, all in sorted key order."""
-    grouped: dict[int, tuple[list, list]] = {}
-    for fs in frequent:
-        rows, counts = grouped.setdefault(len(fs.items), ([], []))
-        rows.append(fs.items)
-        counts.append(fs.count)
-    tables = {}
-    for k, (rows, counts) in grouped.items():
-        if k:
-            rows = np.array(rows, dtype=np.intp)
-            keys = row_keys(rows)
-            order = np.argsort(keys)
-            tables[k] = rows[order], np.array(counts, dtype=np.int64)[order], keys[order]
-    return tables
-
-
-def _lookup(tables: dict[int, tuple[np.ndarray, ...]], rows: np.ndarray) -> np.ndarray:
-    """The count of each row of the (m, a) array `rows` among the a-itemsets."""
-    if rows.shape[1] not in tables:
+def _lookup(keyed: dict[int, tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
+    """The count of each row of the (m, a) array `rows` among the a-itemsets,
+    keyed[a] being their row keys and counts."""
+    if rows.shape[1] not in keyed:
         raise ValueError("incomplete itemset lattice")
-    _, counts, keys = tables[rows.shape[1]]
+    keys, counts = keyed[rows.shape[1]]
     wanted = row_keys(rows)
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     if not (keys[at] == wanted).all():
@@ -153,16 +136,15 @@ def _lookup(tables: dict[int, tuple[np.ndarray, ...]], rows: np.ndarray) -> np.n
     return counts[at]
 
 
-def generate_rules(
-    frequent: Sequence[FrequentItemset], db: TransactionDb, t: Thresholds
-) -> list[AssociationRule]:
+def generate_rules(frequent: ItemsetTable, db: TransactionDb, t: Thresholds) -> list[AssociationRule]:
     """Every threshold-passing split X -> Y of each frequent itemset, by_lift.
 
     Metrics come from the itemset counts already mined; a missing subset
     count means the caller mined at a higher support than the rule threshold.
     The k-itemsets at or above the support cutoff are split together: the
     subsets of every row under every column pattern of one size are looked
-    up at once, with np.searchsorted over the sorted row keys of that size.
+    up at once, with np.searchsorted over the row keys of that level, which
+    sort as its rows do.
     A float test with relative slack keeps every split that could pass,
     and passes_thresholds alone decides on those.
     """
@@ -170,9 +152,9 @@ def generate_rules(
     min_count = support_cutoff(t.min_support, n)
     min_confidence = t.min_confidence * (1 - _SLACK)
     min_lift = t.min_lift * (1 - _SLACK)
-    tables = _count_tables(frequent)
+    keyed = {k: (row_keys(rows), counts) for k, (rows, counts) in frequent.levels.items()}
     out: list[AssociationRule] = []
-    for k, (rows, counts, _) in tables.items():
+    for k, (rows, counts) in frequent.levels.items():
         keep = counts >= min_count
         if k < 2 or not keep.any():
             continue
@@ -185,7 +167,7 @@ def generate_rules(
         patterns = [cols for size in range(1, k) for cols in combinations(columns, size)]
         # One lookup per size: every row's subset under every pattern of it.
         subset = np.concatenate([
-            _lookup(tables, unions[:, list(combinations(columns, size))].swapaxes(0, 1).reshape(-1, size))
+            _lookup(keyed, unions[:, list(combinations(columns, size))].swapaxes(0, 1).reshape(-1, size))
             for size in range(1, k)
         ]).reshape(len(patterns), -1)
         c_ant, c_cons = subset, subset[::-1]

@@ -4,12 +4,13 @@ The oracle counts every subset of the item universe at once: it tallies each
 transaction's item bitmask, then sums every subset's supersets (the fast
 zeta transform), so its time and memory go with 2^n_items, not with rows.
 It shares nothing with the miners' counting paths (no kernel, no FP-tree; it
-reads `db.transactions`), so a fault in either shows as divergent. `load`'s
-tuples come from the flat arrays the miners read; its test against the four
-step functions and `TransactionDb`'s own check guard those arrays. The
-threshold predicate, the support cutoff, the rule constructor and the rule
-order are shared on purpose: they are the rule contract, not part of the
-counting route or of the split enumeration.
+reads `db.transactions`), so a fault in either shows as divergent; every
+route returns an ItemsetTable, compared row by row. `load`'s tuples come from
+the flat arrays the miners read; its test against the four step functions
+and `TransactionDb`'s own check guard those arrays. The threshold predicate,
+the support cutoff, the rule constructor and the rule order are shared on
+purpose: they are the rule contract, not part of the counting route or of
+the split enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .apriori import mine_apriori
 from .fpgrowth import mine_fpgrowth
-from .model import ConfigError, FrequentItemset, ItemSet, MinerConfig, TransactionDb, itemset_sort_key, support_cutoff
+from .model import ConfigError, ItemSet, ItemsetTable, MinerConfig, TransactionDb, support_cutoff
 from .rules import AssociationRule, Thresholds, by_lift, generate_rules, passes_thresholds, rule_from_counts
 
 
@@ -45,9 +46,7 @@ def _subset_counts(db: TransactionDb, limits: OracleLimits) -> np.ndarray:
         raise ValueError("empty transaction database")
     if db.n_items > limits.max_items:
         raise ConfigError(f"oracle limits exceeded: {db.n_items} items, limit {limits.max_items}")
-    masks = np.fromiter(
-        (sum(1 << item for item in t) for t in db.transactions), np.int64, db.n_transactions
-    )
+    masks = np.fromiter((sum(1 << item for item in t) for t in db.transactions), np.int64, db.n_transactions)
     counts = np.bincount(masks, minlength=1 << db.n_items)
     for item in range(db.n_items):
         view = counts.reshape(-1, 2, 1 << item)  # view[:, 1]: the subsets holding item
@@ -59,27 +58,25 @@ def _mask_to_items(mask: int) -> ItemSet:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def brute_force_frequent(
-    db: TransactionDb, min_support: float, limits: OracleLimits = OracleLimits()
-) -> list[FrequentItemset]:
-    """Every frequent itemset by exhaustive subset enumeration."""
+def brute_force_frequent(db: TransactionDb, min_support: float, limits: OracleLimits = OracleLimits()) -> ItemsetTable:
+    """Every frequent itemset by exhaustive subset enumeration: a mask's bits are its items."""
     counts = _subset_counts(db, limits)
     min_count = support_cutoff(min_support, db.n_transactions)
     masks = np.flatnonzero(counts[1:] >= min_count) + 1  # the nonempty frequent subsets
-    found = [(_mask_to_items(mask), int(counts[mask])) for mask in masks.tolist()]
-    found.sort(key=lambda pair: itemset_sort_key(pair[0]))
-    n = db.n_transactions
-    return [FrequentItemset(items, count, count / n) for items, count in found]
+    sizes, bits = np.bitwise_count(masks), np.arange(db.n_items)
+    return ItemsetTable((np.nonzero(masks[sizes == k, None] >> bits & 1)[1].reshape(-1, k), counts[masks[sizes == k]])
+                        for k in range(1, db.n_items + 1))
 
 
-def _oracle_rules(frequent: list[FrequentItemset], n: int, thresholds: Thresholds) -> list[AssociationRule]:
+def _oracle_rules(frequent: ItemsetTable, n: int, thresholds: Thresholds) -> list[AssociationRule]:
     """Every threshold-passing rule of the oracle's itemsets, by_lift.
 
     Walks every nonempty proper submask X of each union that meets the rule
     support cutoff, with Y the rest; unions below it could never pass. Each
     submask of a frequent union is frequent, so every lookup finds its count.
     """
-    counts = {sum(1 << item for item in fs.items): fs.count for fs in frequent}
+    counts = {mask: count for rows, level in frequent.levels.values()
+              for mask, count in zip((1 << rows).sum(axis=1).tolist(), level.tolist())}
     min_count = support_cutoff(thresholds.min_support, n)
     out: list[AssociationRule] = []
     for union, c_union in counts.items():
@@ -103,14 +100,15 @@ def brute_force_rules(
     return _oracle_rules(brute_force_frequent(db, thresholds.min_support, limits), db.n_transactions, thresholds)
 
 
-Miner = Callable[[TransactionDb, float, int | None], list[FrequentItemset]]
+Miner = Callable[[TransactionDb, float, int | None], ItemsetTable]
 
 
-def _oracle(db: TransactionDb, min_support: float, max_len: int | None) -> list[FrequentItemset]:
+def _oracle(db: TransactionDb, min_support: float, max_len: int | None) -> ItemsetTable:
     """The oracle as a miner: it enumerates every subset whatever max_len is,
-    then drops the longer ones."""
+    then drops the longer lengths."""
     MinerConfig(min_support, max_len)  # the arguments the miners reject
-    return [fs for fs in brute_force_frequent(db, min_support) if max_len is None or len(fs.items) <= max_len]
+    levels = brute_force_frequent(db, min_support).levels
+    return ItemsetTable(level for k, level in levels.items() if max_len is None or k <= max_len)
 
 
 # Every route to the frequent itemsets, by CLI name: (db, min_support,
@@ -134,13 +132,18 @@ class EquivalenceReport:
         return "equivalent" if self.equivalent else f"divergent: {self.detail}"
 
 
-def _first_divergence(name_a, result_a, name_b, result_b):
-    set_a = {(fs.items, fs.count) for fs in result_a}
-    set_b = {(fs.items, fs.count) for fs in result_b}
-    for items, count in sorted(set_a - set_b, key=lambda p: itemset_sort_key(p[0])):
-        return f"itemset {items} (count {count}) in {name_a} but not {name_b}"
-    for items, count in sorted(set_b - set_a, key=lambda p: itemset_sort_key(p[0])):
-        return f"itemset {items} (count {count}) in {name_b} but not {name_a}"
+def _first_divergence(name_a: str, a: ItemsetTable, name_b: str, b: ItemsetTable) -> str | None:
+    """The first row where a and b differ, level by level, named with the
+    table that holds it (a's if both hold its items); None if they are equal."""
+    for k in sorted(a.levels.keys() | b.levels.keys()):
+        none = np.empty((0, k), np.intp), np.empty(0, np.int64)
+        (rows_a, counts_a), (rows_b, counts_b) = a.levels.get(k, none), b.levels.get(k, none)
+        m = min(len(counts_a), len(counts_b))
+        i = np.append((rows_a[:m] != rows_b[:m]).any(axis=1) | (counts_a[:m] != counts_b[:m]), True).argmax()
+        if i < len(counts_a) and (i == len(counts_b) or rows_a[i].tolist() <= rows_b[i].tolist()):
+            return f"itemset {tuple(rows_a[i].tolist())} (count {counts_a[i]}) in {name_a} but not {name_b}"
+        if i < len(counts_b):
+            return f"itemset {tuple(rows_b[i].tolist())} (count {counts_b[i]}) in {name_b} but not {name_a}"
     return None
 
 
@@ -158,23 +161,20 @@ def check_equivalence(
         miners = {name: MINERS[name] for name in MINER_PAIR}
     rule_thresholds = replace(thresholds, min_support=max(thresholds.min_support, min_support))
     oracle = brute_force_frequent(db, min_support, limits)
-    results = {name: miner(db, min_support, None) for name, miner in miners.items()}
-    results["oracle"] = oracle
-
-    names = list(results)
-    baseline = names[0]
-    for other in names[1:]:
-        divergence = _first_divergence(baseline, results[baseline], other, results[other])
+    tables = [(name, miner(db, min_support, None)) for name, miner in miners.items()]
+    (baseline, table), *others = *tables, ("oracle", oracle)
+    for other, other_table in others:
+        divergence = _first_divergence(baseline, table, other, other_table)
         if divergence:
             return EquivalenceReport(False, divergence)
 
-    # The itemset lists agree as (items, count) sets, so generate_rules gives
-    # each of them the same rules: it runs once, on the baseline's.
-    rules = {(r.antecedent, r.consequent) for r in generate_rules(results[baseline], db, rule_thresholds)}
+    # The tables are equal, so generate_rules gives each of them the same
+    # rules: it runs once, on the baseline's.
+    rules = {(r.antecedent, r.consequent) for r in generate_rules(table, db, rule_thresholds)}
     oracle_rules = {(r.antecedent, r.consequent) for r in _oracle_rules(oracle, db.n_transactions, rule_thresholds)}
     diff = rules ^ oracle_rules
     if diff:
-        ant, cons = sorted(diff)[0]
+        ant, cons = min(diff)
         where = baseline if (ant, cons) in rules else "oracle-rules"
         return EquivalenceReport(False, f"rule {ant} -> {cons} only in {where}")
     return EquivalenceReport(True, "")

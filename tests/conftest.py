@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from electmine.model import TransactionDb, encode_rows, support_cutoff
+from electmine.model import ItemsetTable, TransactionDb, encode_rows, support_cutoff
 from electmine.rules import by_lift, passes_thresholds, rule_from_counts
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -51,6 +51,12 @@ def direct_rule_metrics(antecedent, consequent, db: TransactionDb) -> tuple[floa
     c_x, c_y, c_xy = (sum(s <= row for row in rows) for s in (x, y, x | y))
     n = len(rows)
     return c_xy / n, c_xy / c_x, (c_xy / c_x) / (c_y / n)
+
+
+def itemset_table(pairs) -> ItemsetTable:
+    """The ItemsetTable of the (items, count) pairs: a miner's table edited,
+    or a lattice written out."""
+    return ItemsetTable((np.array([items], np.intp), np.array([count])) for items, count in pairs)
 
 
 def reference_rules(frequent, db: TransactionDb, t):

@@ -202,6 +202,8 @@ BAD_INPUTS = [
     ("bin-key", "columns:\n  - name: a\n    bin: [[1, 2, x]]\n", "dir", None, 2),
     ("conjunct-key", "columns:\n  - name: a\nconsistency_rules:\n  - description: x\n"
                      "    conjunct: {a: '1', b: '1'}\n", "dir", None, 2),
+    # A key given twice in one mapping is an error, never its last value kept.
+    ("key-twice", "columns:\n  - name: a\n  - name: b\nkeep: [a]\nkeep: [a, b]\n", "dir", None, 2),
     # keep selects each non-drop column at most once.
     ("keep-twice", "columns:\n  - name: a\n  - name: b\n  - name: c\nkeep: [a, a, c]\n", "dir", None, 2),
     ("keep-drop", "columns:\n  - name: a\n  - name: b\n    kind: drop\n  - name: c\nkeep: [a, b, c]\n",
@@ -276,6 +278,7 @@ SCHEMA_FAULTS = {
     "column-without-name": "a column entry has no 'name': {'kind': 'drop'}",
     "rule-without-description": "a consistency rule has no 'description': {'conjuncts': {'a': '1', 'b': '1'}}",
     "empty-column-name": "a column name is empty",
+    "key-twice": "line 5: key 'keep' given twice in one mapping",
     "keep-twice": "keep columns named twice: ['a']",
     "keep-drop": "keep columns of kind drop: ['b']",
     "bins-not-binned": "column 'a': bins need kind numeric_binned, not 'categorical'",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from electmine import fpgrowth
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.fpgrowth import build_fptree, mine_fpgrowth, mine_fptree
-from electmine.model import TransactionDb, itemset_sort_key, support_cutoff
+from electmine.model import TransactionDb, support_cutoff
 from electmine.verify import brute_force_frequent
 
 from conftest import random_db, reference_forests, small_dbs, wide_db
@@ -202,7 +202,7 @@ def test_cutoff_above_everything_gives_root_only():
     assert (tree.items, tree.totals.tolist(), tree.parent.tolist(), tree.rank.tolist(), tree.count.tolist()) == (
         [], [[]], [0], [0], [0])
     assert tree.root.children == {}
-    assert mine_fptree(tree, 1.0, db.n_transactions) == []
+    assert len(mine_fptree(tree, 1.0, db.n_transactions)) == 0
 
 
 def test_empty_database_rejected():
@@ -291,7 +291,7 @@ def subset_counts(db, min_count):
     """Every itemset at or above min_count, counted by enumerating each
     transaction's subsets, in the miners' order."""
     counts = Counter(s for t in db.transactions for k in range(1, len(t) + 1) for s in combinations(t, k))
-    return sorted(((s, c) for s, c in counts.items() if c >= min_count), key=lambda pair: itemset_sort_key(pair[0]))
+    return sorted(((s, c) for s, c in counts.items() if c >= min_count), key=lambda pair: (len(pair[0]), pair[0]))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -448,7 +448,7 @@ def test_mine_fpgrowth_mines_the_tree_build_fptree_returns(d5_db):
     assert build_mock.call_args == mock.call(d5_db, 0.6)
     (tree, *rest), _ = mine_mock.call_args
     assert tree is built[0] and rest == [0.6, d5_db.n_transactions, 2]
-    assert result == mine_fptree(build_fptree(d5_db, 0.6), 0.6, d5_db.n_transactions, 2)
+    assert list(result) == list(mine_fptree(build_fptree(d5_db, 0.6), 0.6, d5_db.n_transactions, 2))
 
 
 @given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]), st.sampled_from([None, 1, 2, 3]))
@@ -456,7 +456,7 @@ def test_matches_oracle(db, min_support, max_len):
     expected = [
         fs for fs in brute_force_frequent(db, min_support) if max_len is None or len(fs.items) <= max_len
     ]
-    assert mine_fpgrowth(db, min_support, max_len) == expected
+    assert list(mine_fpgrowth(db, min_support, max_len)) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -244,6 +244,23 @@ def test_load_counts_only_the_missing_cells_of_a_dropped_row(tmp_path):
                                                                            report.as_text())
 
 
+def test_schema_rejects_a_key_given_twice(tmp_path):
+    # A YAML loader keeps the last value of a repeated key; the schema reader names the key and its line.
+    path = tmp_path / "schema.yaml"
+    for text, line, key in [
+        ("columns:\n  - name: a\n  - name: b\nkeep: [a]\nkeep: [a, b]\n", 5, "keep"),
+        ("columns:\n  - name: a\n    kind: drop\n    kind: categorical\n", 4, "kind"),
+        ("columns:\n  - name: a\n  - name: b\nconsistency_rules:\n  - description: x\n"
+         "    conjuncts: {a: '1', b: '1', a: '2'}\n", 6, "a"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^line {line}: key '{key}' given twice in one mapping$"):
+            load_schema(path)
+    # A merge key is not a repeated key: its mapping's own keys override the merged ones.
+    path.write_text("columns:\n  - &a {name: a, kind: drop}\n  - <<: *a\n    name: b\n    kind: categorical\n")
+    assert [(c.name, c.kind) for c in load_schema(path).columns] == [("a", "drop"), ("b", "categorical")]
+
+
 def test_schema_rejects_a_scalar_for_a_list(tmp_path):
     # yaml reads "na" as a string, which would become the tokens {'n', 'a'}.
     path = tmp_path / "schema.yaml"

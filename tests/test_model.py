@@ -14,12 +14,12 @@ from electmine.apriori import generate_candidates
 from electmine.fpgrowth import mine_fpgrowth
 from electmine.model import (
     ConfigError,
-    FrequentItemset,
     ItemDictionary,
     MinerConfig,
     TransactionDb,
     attribute_of,
     encode_rows,
+    row_keys,
     support_cutoff,
 )
 from electmine.rules import CategoryConfig, Thresholds
@@ -198,15 +198,27 @@ def test_settings_raise_config_error(make):
     (lambda: ItemDictionary(("_1",)), "'_1' has no attribute prefix"),
     (lambda: ItemDictionary(("a_",)), "'a_' has an empty value"),
     (lambda: ItemDictionary(("a_1", "b_1", "a_1")), "duplicate item label 'a_1'"),
-    (lambda: FrequentItemset((0,), 0, 0.0), "must occur at least once"),
     (lambda: generate_candidates([(0,), (1,)], 1), "starts at k=2"),
     (lambda: brute_force_frequent(TransactionDb((), n_items=2), 0.5), "empty transaction database"),
-], ids=["label-prefix", "label-empty-prefix", "label-value", "label-twice", "count-zero", "k-below-2", "oracle-empty-db"])
+], ids=["label-prefix", "label-empty-prefix", "label-value", "label-twice", "k-below-2", "oracle-empty-db"])
 def test_bad_values_raise_value_error(make, message):
     # A fault in the data, not a setting: the CLI maps it to exit 1, not 2.
     with pytest.raises(ValueError, match=message) as raised:
         make()
     assert not isinstance(raised.value, ConfigError)
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from([0, 1, 254, 255, 256, 65_534, 65_535, 65_536, 2**31, 2**40]) | st.integers(0, 2**62),
+             min_size=k, max_size=k), max_size=30)))
+def test_row_keys_sort_as_the_rows(rows):
+    # Big-endian bytes compare as the ids do, so np.sort and np.searchsorted on the keys follow the rows' order.
+    width = len(rows[0]) if rows else 1
+    array = np.array(rows, np.intp).reshape(-1, width)
+    keys = row_keys(array)
+    assert [tuple(r) for r in array[np.argsort(keys, kind="stable")].tolist()] == sorted(map(tuple, rows))
+    ordered = np.sort(keys)
+    assert np.searchsorted(ordered, keys).tolist() == [sorted(map(tuple, rows)).index(tuple(r)) for r in rows]
 
 
 @pytest.mark.parametrize("miner", [mine_fpgrowth, brute_force_frequent])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from electmine.apriori import MinerConfig, mine_apriori
-from electmine.model import FrequentItemset, ItemDictionary, TransactionDb, encode_rows, row_keys
+from electmine.model import ItemDictionary, TransactionDb, encode_rows, row_keys
 from electmine.rules import (
     AssociationRule,
     CategoryConfig,
@@ -18,7 +18,7 @@ from electmine.rules import (
     rule_record,
 )
 
-from conftest import direct_rule_metrics, reference_rules, small_dbs
+from conftest import direct_rule_metrics, itemset_table, reference_rules, small_dbs
 
 
 def test_thresholds_defaults():
@@ -116,25 +116,20 @@ def test_perfect_implication_passes_defaults():
 
 def test_incomplete_lattice_rejected(d5_db):
     frequent = mine_apriori(d5_db, MinerConfig(0.6))
-    pairs_only = [fs for fs in frequent if len(fs.items) == 2]
+    pairs_only = itemset_table(fs for fs in frequent if len(fs.items) == 2)
     with pytest.raises(ValueError, match="incomplete itemset lattice"):
         generate_rules(pairs_only, d5_db, Thresholds(0.03, 0.60, 0.0))
 
 
-def lattice(n, counts):
-    """Itemsets with the given counts over n transactions, as a miner lists them."""
-    return [FrequentItemset(items, count, count / n) for items, count in counts.items()]
-
-
 def test_lattice_missing_a_subset_rejected(d5_db):
-    frequent = [fs for fs in mine_apriori(d5_db, MinerConfig(0.2)) if fs.items != (0, 2)]
+    frequent = itemset_table(fs for fs in mine_apriori(d5_db, MinerConfig(0.2)) if fs.items != (0, 2))
     assert any(len(fs.items) == 3 for fs in frequent)
     with pytest.raises(ValueError, match="incomplete itemset lattice"):
         generate_rules(frequent, d5_db, Thresholds(0.2, 1e-9, 0.0))
 
 
 def test_lattice_missing_a_length_rejected(d5_db):
-    frequent = [fs for fs in mine_apriori(d5_db, MinerConfig(0.2)) if len(fs.items) != 2]
+    frequent = itemset_table(fs for fs in mine_apriori(d5_db, MinerConfig(0.2)) if len(fs.items) != 2)
     with pytest.raises(ValueError, match="incomplete itemset lattice"):
         generate_rules(frequent, d5_db, Thresholds(0.2, 1e-9, 0.0))
 
@@ -145,7 +140,7 @@ def test_lattice_missing_key_past_the_last_rejected():
     keys = np.sort(row_keys(np.array([[0], [1]], dtype=np.intp)))
     assert np.searchsorted(keys, row_keys(np.array([[2]], dtype=np.intp)))[0] == len(keys)
     db = TransactionDb(((0, 1, 2),) * 4, n_items=3)
-    frequent = lattice(4, {(0,): 4, (1,): 4, (0, 1): 4, (0, 2): 4})
+    frequent = itemset_table({(0,): 4, (1,): 4, (0, 1): 4, (0, 2): 4}.items())
     with pytest.raises(ValueError, match="incomplete itemset lattice"):
         generate_rules(frequent, db, Thresholds(0.5, 1e-9, 0.0))
 
@@ -238,9 +233,10 @@ def rule_cases(draw):
 
 # Lift 1.4999999988 is within a relative 1e-9 of 1.5, which the float
 # pre-test admits; the exact test must still reject it.
-SURVEY_SCALE = lattice(50000, {(0,): 23389, (1,): 18503, (0, 1): 12983}), TransactionDb(((),) * 50000, n_items=2)
+SURVEY_SCALE = (itemset_table({(0,): 23389, (1,): 18503, (0, 1): 12983}.items()),
+                TransactionDb(((),) * 50000, n_items=2))
 # Confidence 3/5 and lift 6/5 exactly at their thresholds.
-AT_THRESHOLDS = lattice(10, {(0,): 5, (1,): 5, (0, 1): 3}), TransactionDb(((),) * 10, n_items=2)
+AT_THRESHOLDS = itemset_table({(0,): 5, (1,): 5, (0, 1): 3}.items()), TransactionDb(((),) * 10, n_items=2)
 
 
 @settings(deadline=None)

@@ -3,12 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 from electmine import verify
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.cli import main
-from electmine.model import ConfigError, FrequentItemset, TransactionDb, support_cutoff
+from electmine.model import ConfigError, TransactionDb, support_cutoff
 from electmine.rules import Thresholds, generate_rules
 from electmine.verify import (
     MINERS,
@@ -19,7 +19,7 @@ from electmine.verify import (
     check_equivalence,
 )
 
-from conftest import random_db, small_dbs
+from conftest import itemset_table, random_db, small_dbs
 
 
 def as_pairs(frequent):
@@ -67,7 +67,7 @@ def test_oracle_has_no_row_limit():
 
 def test_oracle_empty_result_above_max_frequency(d5_db):
     # no item reaches 5 of 5 transactions
-    assert brute_force_frequent(d5_db, 1.0) == []
+    assert len(brute_force_frequent(d5_db, 1.0)) == 0
 
 
 def test_oracle_spot_recounts(d5_db):
@@ -125,6 +125,19 @@ def test_miners_reject_the_same_arguments(d5_db, name, min_support, max_len, mes
         MINERS[name](d5_db, min_support, max_len)
 
 
+@pytest.mark.parametrize("name", sorted(MINERS))
+@given(small_dbs(), st.sampled_from([0.01, 0.1, 0.3, 0.6, 1.0]), st.sampled_from([None, 1, 2, 3]))
+def test_every_route_lists_rows_in_order_at_or_above_the_cutoff(name, db, min_support, max_len):
+    table = MINERS[name](db, min_support, max_len)
+    cutoff = support_cutoff(min_support, db.n_transactions)
+    assert list(table.levels) == sorted(table.levels) and all(k <= (max_len or k) for k in table.levels)
+    for k, (rows, counts) in table.levels.items():
+        assert (rows.dtype, counts.dtype, rows.shape) == (np.intp, np.int64, (len(counts), k))
+        assert (np.diff(rows, axis=1) > 0).all() and (counts >= cutoff).all()
+        itemsets = list(map(tuple, rows.tolist()))
+        assert all(a < b for a, b in zip(itemsets, itemsets[1:]))  # strictly increasing: no row twice
+
+
 def test_check_equivalence_d5(d5_db):
     report = check_equivalence(d5_db, 0.6, Thresholds())
     assert report.equivalent
@@ -162,15 +175,29 @@ def test_check_equivalence_rule_support_above_mining_support(seed, mining_suppor
 def test_extra_baseline_itemset_is_named(d5_db):
     # The baseline holds an itemset the next list lacks: the first branch of the comparison.
     def padded(db, min_support, max_len):
-        return [*MINERS["apriori"](db, min_support, max_len), FrequentItemset((0, 1, 2), 1, 0.2)]
+        return itemset_table([*MINERS["apriori"](db, min_support, max_len), ((0, 1, 2), 1)])
 
     report = check_equivalence(d5_db, 0.6, Thresholds(), miners={"padded": padded, "apriori": MINERS["apriori"]})
     assert report.as_text() == "divergent: itemset (0, 1, 2) (count 1) in padded but not apriori"
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_itemset_listed_twice_is_named(d5_db, first):
+    # The same itemsets and counts, but one of them twice: equal as sets, not as tables.
+    def doubled(db, min_support, max_len):
+        itemsets = list(MINERS["apriori"](db, min_support, max_len))
+        return itemset_table([*itemsets, itemsets[0]])
+
+    miners = {"doubled": doubled, "apriori": MINERS["apriori"]}
+    if not first:
+        miners = dict(reversed(miners.items()))
+    report = check_equivalence(d5_db, 0.6, Thresholds(), miners=miners)
+    assert report.as_text() == "divergent: itemset (0,) (count 4) in doubled but not apriori"
+
+
 def test_corrupted_miner_is_named(d5_db, data_dir, capsys):
     def lossy_apriori(db, min_support, max_len):
-        return mine_apriori(db, MinerConfig(min_support, max_len))[1:]  # drop the first itemset
+        return itemset_table(list(mine_apriori(db, MinerConfig(min_support, max_len)))[1:])  # drop the first itemset
 
     report = check_equivalence(
         d5_db,
