@@ -6,9 +6,10 @@ ItemsetTable returned; no tuple is built. A level is counted by the shared
 counting kernel, and its frequent rows are kept with a boolean mask.
 Candidate generation (Agrawal & Srikant, VLDB 1994) merges (k-1)-itemsets
 sharing their first k-2 items and prunes any candidate with an infrequent
-(k-1)-subset (downward closure). The join works on the whole level at once,
-as in Borgelt's level arrays ("Efficient Implementations of Apriori and
-Eclat", FIMI 2003).
+(k-1)-subset (downward closure), looked up with `model.find_rows`, the
+search ItemsetTable.counts_of uses. The join works on the whole level at
+once, as in Borgelt's level arrays ("Efficient Implementations of Apriori
+and Eclat", FIMI 2003).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .model import ItemSet, ItemsetTable, MinerConfig, TransactionDb, row_keys, support_cutoff
+from .model import ItemSet, ItemsetTable, MinerConfig, TransactionDb, find_rows, row_keys, support_cutoff
 
 
 def _join(level: np.ndarray) -> np.ndarray:
@@ -44,9 +45,7 @@ def _join(level: np.ndarray) -> np.ndarray:
     # parents; look up the k-2 others among the level's keys, which sort as its rows.
     keys = row_keys(level)
     for drop in range(width - 1):
-        subsets = row_keys(np.delete(candidates, drop, axis=1))
-        at = np.minimum(np.searchsorted(keys, subsets), m - 1)
-        candidates = candidates[keys[at] == subsets]
+        candidates = candidates[find_rows(keys, np.delete(candidates, drop, axis=1)) >= 0]
     return candidates
 
 

@@ -26,10 +26,8 @@ import yaml
 
 from . import ingest, verify
 from .model import ConfigError, ItemDictionary, MinerConfig, TransactionDb
-from .rules import (
-    EQUITY_TAG, MINORITY_TAG, AssociationRule, CategoryConfig, Thresholds, categorize, generate_rules,
-    rule_record,
-)
+from .rules import (EQUITY_TAG, MINORITY_TAG, AssociationRule, CategoryConfig, Thresholds, categorize,
+                    generate_rules, rule_record)
 from .verify import OracleLimits
 
 # The published parameterization, defined once as Thresholds' field defaults.
@@ -297,9 +295,8 @@ def compare_records(db: TransactionDb, dictionary: ItemDictionary, thresholds: T
             "total_rules": n,
             "equity_rules": sum(EQUITY_TAG in r.tags for r in rules),
             "minority_rules": sum(MINORITY_TAG in r.tags for r in rules),
-            "avg_support": sum(r.support for r in rules) / n if n else None,
-            "avg_confidence": sum(r.confidence for r in rules) / n if n else None,
-            "avg_lift": sum(r.lift for r in rules) / n if n else None,
+            **{f"avg_{metric}": sum(getattr(r, metric) for r in rules) / n if n else None
+               for metric in ("support", "confidence", "lift")},
             "wall_seconds": round(seconds, 3),
             "error": error,
         })

@@ -3,7 +3,8 @@
 Categorical records become transactions over an integer item universe: each
 answered attribute=value pair maps to one item labeled "<attribute>_<value>".
 Item ids are dense and assigned in first-encounter order so identical inputs
-always produce identical encodings. Every miner returns one ItemsetTable.
+always produce identical encodings. Every miner returns one ItemsetTable;
+find_rows, the one itemset-row search, serves counts_of and Apriori's prune.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     (np.sort and np.searchsorted compare their bytes) as the rows do."""
     rows = np.ascontiguousarray(rows, ">i8")
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def find_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index in `keys`, the sorted row_keys of some rows, of each row of
+    the 2-d array `rows` (the first, for a row listed twice), or -1."""
+    wanted = row_keys(rows)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1) if len(keys) else np.full(len(wanted), -1, np.intp)
 
 
 def exact(threshold: float) -> Fraction:
@@ -147,20 +156,31 @@ class ItemsetTable:
     """The frequent itemsets every miner returns: ``levels[k]``, k ascending,
     is an (m, k) intp array of item ids in lexicographic order, the canonical
     output order, and its m int64 counts. Iterating yields an Itemset per row
-    in that order, built on each iteration."""
+    in that order, built on each iteration; counts_of looks rows up."""
 
     def __init__(self, pieces: Iterable[tuple[np.ndarray, np.ndarray]]):
         """The (rows, counts) pieces, each of one length, in any order: each
-        length's rows are sorted once by row_keys, a repeated row kept twice."""
+        length's rows sorted once by row_keys (kept for counts_of), a repeated row kept twice."""
         grouped: dict[int, list] = {}
         for rows, counts in pieces:
             grouped.setdefault(rows.shape[1], []).append((rows, counts))
         self.levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._keys: dict[int, np.ndarray] = {}
         for k, parts in sorted(grouped.items()):
             rows, counts = map(np.concatenate, zip(*parts))
-            order = np.argsort(row_keys(rows), kind="stable")
+            keys = row_keys(rows)
+            order = np.argsort(keys, kind="stable")
             if len(order):
                 self.levels[k] = rows[order].astype(np.intp, copy=False), counts[order].astype(np.int64, copy=False)
+                self._keys[k] = keys[order]
+
+    def counts_of(self, rows: np.ndarray) -> np.ndarray:
+        """The count of each row of the (m, k) array `rows`; a ValueError if
+        the table lacks one of them, or its length k."""
+        at = find_rows(self._keys[rows.shape[1]], rows) if rows.shape[1] in self._keys else None
+        if at is None or (at < 0).any():
+            raise ValueError("incomplete itemset lattice")
+        return self.levels[rows.shape[1]][1][at]
 
     def __len__(self) -> int:
         return sum(len(counts) for _, counts in self.levels.values())

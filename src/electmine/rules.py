@@ -3,7 +3,7 @@
 Rules come from splitting frequent itemsets (Agrawal & Srikant, VLDB 1994);
 support/confidence/lift are computed from the itemset counts. The itemsets
 of one length, a level of the miners' ItemsetTable, are split together, each
-split's subset counts looked up in the table for all at once. A float
+split's subsets looked up for all at once with ItemsetTable.counts_of. A float
 pre-test only narrows the splits: exact integer arithmetic against the
 thresholds decides, so boundary cases never flip on float noise.
 """
@@ -17,17 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    ConfigError,
-    ItemDictionary,
-    ItemSet,
-    ItemsetTable,
-    TransactionDb,
-    attribute_of,
-    exact,
-    row_keys,
-    support_cutoff,
-)
+from .model import ConfigError, ItemDictionary, ItemSet, ItemsetTable, TransactionDb, attribute_of, exact, support_cutoff
 
 EQUITY_TAG = "equity"
 MINORITY_TAG = "minority"
@@ -123,19 +113,6 @@ def by_lift(rules: Sequence[AssociationRule]) -> list[AssociationRule]:
 _SLACK = 1e-9
 
 
-def _lookup(keyed: dict[int, tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
-    """The count of each row of the (m, a) array `rows` among the a-itemsets,
-    keyed[a] being their row keys and counts."""
-    if rows.shape[1] not in keyed:
-        raise ValueError("incomplete itemset lattice")
-    keys, counts = keyed[rows.shape[1]]
-    wanted = row_keys(rows)
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    if not (keys[at] == wanted).all():
-        raise ValueError("incomplete itemset lattice")
-    return counts[at]
-
-
 def generate_rules(frequent: ItemsetTable, db: TransactionDb, t: Thresholds) -> list[AssociationRule]:
     """Every threshold-passing split X -> Y of each frequent itemset, by_lift.
 
@@ -143,8 +120,7 @@ def generate_rules(frequent: ItemsetTable, db: TransactionDb, t: Thresholds) -> 
     count means the caller mined at a higher support than the rule threshold.
     The k-itemsets at or above the support cutoff are split together: the
     subsets of every row under every column pattern of one size are looked
-    up at once, with np.searchsorted over the row keys of that level, which
-    sort as its rows do.
+    up at once, with frequent.counts_of.
     A float test with relative slack keeps every split that could pass,
     and passes_thresholds alone decides on those.
     """
@@ -152,7 +128,6 @@ def generate_rules(frequent: ItemsetTable, db: TransactionDb, t: Thresholds) -> 
     min_count = support_cutoff(t.min_support, n)
     min_confidence = t.min_confidence * (1 - _SLACK)
     min_lift = t.min_lift * (1 - _SLACK)
-    keyed = {k: (row_keys(rows), counts) for k, (rows, counts) in frequent.levels.items()}
     out: list[AssociationRule] = []
     for k, (rows, counts) in frequent.levels.items():
         keep = counts >= min_count
@@ -167,7 +142,7 @@ def generate_rules(frequent: ItemsetTable, db: TransactionDb, t: Thresholds) -> 
         patterns = [cols for size in range(1, k) for cols in combinations(columns, size)]
         # One lookup per size: every row's subset under every pattern of it.
         subset = np.concatenate([
-            _lookup(keyed, unions[:, list(combinations(columns, size))].swapaxes(0, 1).reshape(-1, size))
+            frequent.counts_of(unions[:, list(combinations(columns, size))].swapaxes(0, 1).reshape(-1, size))
             for size in range(1, k)
         ]).reshape(len(patterns), -1)
         c_ant, c_cons = subset, subset[::-1]
@@ -210,15 +185,21 @@ def categorize(
     return tagged
 
 
+# 1, 0.1 and 0.01: the places a displayed field is rounded to, half away from zero.
+_QUANTA = tuple(Decimal(1).scaleb(-decimals) for decimals in range(3))
+
+
+def _half_up(value: Decimal, decimals: int) -> str:
+    return str(value.quantize(_QUANTA[decimals], rounding=ROUND_HALF_UP))
+
+
 def format_pct(value: float, decimals: int) -> str:
-    """value as a percentage, rounded half away from zero to `decimals`."""
-    scaled = Decimal(str(value)) * 100
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(scaled.quantize(quantum, rounding=ROUND_HALF_UP))
+    """value as a percentage, rounded half away from zero to `decimals`, 0 to 2."""
+    return _half_up(Decimal(str(value)) * 100, decimals)
 
 
 def format_lift(value: float) -> str:
-    return str(Decimal(str(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return _half_up(Decimal(str(value)), 2)
 
 
 def rule_record(rule: AssociationRule, dictionary: ItemDictionary) -> dict:

@@ -134,16 +134,19 @@ class EquivalenceReport:
 
 def _first_divergence(name_a: str, a: ItemsetTable, name_b: str, b: ItemsetTable) -> str | None:
     """The first row where a and b differ, level by level, named with the
-    table that holds it (a's if both hold its items); None if they are equal."""
+    table that holds it (a's if both hold its items), as listed twice if that
+    table repeats it; None if they are equal."""
     for k in sorted(a.levels.keys() | b.levels.keys()):
         none = np.empty((0, k), np.intp), np.empty(0, np.int64)
         (rows_a, counts_a), (rows_b, counts_b) = a.levels.get(k, none), b.levels.get(k, none)
         m = min(len(counts_a), len(counts_b))
         i = np.append((rows_a[:m] != rows_b[:m]).any(axis=1) | (counts_a[:m] != counts_b[:m]), True).argmax()
-        if i < len(counts_a) and (i == len(counts_b) or rows_a[i].tolist() <= rows_b[i].tolist()):
-            return f"itemset {tuple(rows_a[i].tolist())} (count {counts_a[i]}) in {name_a} but not {name_b}"
-        if i < len(counts_b):
-            return f"itemset {tuple(rows_b[i].tolist())} (count {counts_b[i]}) in {name_b} but not {name_a}"
+        if i == len(counts_a) == len(counts_b):
+            continue
+        a_holds = i < len(counts_a) and (i == len(counts_b) or rows_a[i].tolist() <= rows_b[i].tolist())
+        name, rows, counts, other = (name_a, rows_a, counts_a, name_b) if a_holds else (name_b, rows_b, counts_b, name_a)
+        where = f"listed twice in {name}" if i and (rows[i - 1] == rows[i]).all() else f"in {name} but not {other}"
+        return f"itemset {tuple(rows[i].tolist())} (count {counts[i]}) {where}"
     return None
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from electmine import fpgrowth
+from electmine import apriori, fpgrowth, rules
 from electmine.apriori import MinerConfig, mine_apriori
 from electmine.fpgrowth import build_fptree, mine_fpgrowth, mine_fptree
 from electmine.model import TransactionDb, support_cutoff
@@ -412,21 +412,41 @@ def test_root_view_needs_a_single_tree():
     assert tree.root.children
 
 
-def test_independent_of_the_counting_kernel():
-    """The three-way check needs FP-Growth to count on its own route: it
-    imports no counting kernel and never packs Apriori's bit columns."""
-    imported = set()
-    for node in ast.walk(ast.parse(Path(fpgrowth.__file__).read_text())):
+def imported_and_called(module) -> tuple[set[str], set[str]]:
+    """The names a module's source imports (modules and their names) and the
+    dotted names it calls, such as "np.searchsorted"."""
+    imported, called = set(), set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call):
+            called.add(ast.unparse(node.func))
+    return imported, called
+
+
+def test_independent_of_the_counting_kernel():
+    """The three-way check needs FP-Growth to count on its own route: it
+    imports no counting kernel and never packs Apriori's bit columns."""
+    imported, _ = imported_and_called(fpgrowth)
     assert imported and not any("_kernels" in name for name in imported)
     db = random_db(3)
     mine_fpgrowth(db, 0.1)
     mine_fptree(build_fptree(db, 0.1), 0.1, db.n_transactions)
     assert "matrix" not in vars(db)
+
+
+def test_one_itemset_lookup():
+    """Itemset rows are looked up one way, model.find_rows: the Apriori
+    prune and the rule splits search no sorted keys of their own, and the
+    rule stage never builds a row key."""
+    for module in (apriori, rules):
+        imported, called = imported_and_called(module)
+        assert not {name for name in called if name.endswith("searchsorted")}, module.__name__
+        assert "find_rows" in imported or "counts_of" in {name.rpartition(".")[2] for name in called}
+    assert "row_keys" not in imported_and_called(rules)[0]
 
 
 def test_mine_fpgrowth_mines_the_tree_build_fptree_returns(d5_db):

@@ -15,10 +15,12 @@ from electmine.fpgrowth import mine_fpgrowth
 from electmine.model import (
     ConfigError,
     ItemDictionary,
+    ItemsetTable,
     MinerConfig,
     TransactionDb,
     attribute_of,
     encode_rows,
+    find_rows,
     row_keys,
     support_cutoff,
 )
@@ -208,17 +210,34 @@ def test_bad_values_raise_value_error(make, message):
     assert not isinstance(raised.value, ConfigError)
 
 
-@given(st.integers(1, 6).flatmap(lambda k: st.lists(
-    st.lists(st.sampled_from([0, 1, 254, 255, 256, 65_534, 65_535, 65_536, 2**31, 2**40]) | st.integers(0, 2**62),
-             min_size=k, max_size=k), max_size=30)))
-def test_row_keys_sort_as_the_rows(rows):
-    # Big-endian bytes compare as the ids do, so np.sort and np.searchsorted on the keys follow the rows' order.
-    width = len(rows[0]) if rows else 1
-    array = np.array(rows, np.intp).reshape(-1, width)
-    keys = row_keys(array)
-    assert [tuple(r) for r in array[np.argsort(keys, kind="stable")].tolist()] == sorted(map(tuple, rows))
-    ordered = np.sort(keys)
-    assert np.searchsorted(ordered, keys).tolist() == [sorted(map(tuple, rows)).index(tuple(r)) for r in rows]
+_IDS = st.sampled_from([0, 1, 254, 255, 256, 65_534, 65_535, 65_536, 2**31, 2**40]) | st.integers(0, 2**62)
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.tuples(*[_IDS] * k), min_size=1, max_size=40)))
+def test_lookup_agrees_with_a_dict(rows):
+    # Big-endian bytes compare as the ids do, so sorted keys follow the rows' order and one search
+    # finds each row: at its first index if it is listed twice, -1 if it is absent.
+    k, held = len(rows[0]), [*rows[::2], rows[0]]  # every other row, the first of them twice
+    ordered, index, count = sorted(held), {}, {}
+    for i, row in enumerate(ordered):
+        index.setdefault(row, i)
+    for i, row in enumerate(held, 1):
+        count.setdefault(row, i)
+    keys = row_keys(np.array(held, np.intp))
+    assert np.array(held)[np.argsort(keys, kind="stable")].tolist() == list(map(list, ordered))
+    assert find_rows(np.sort(keys), np.array(rows, np.intp)).tolist() == [index.get(row, -1) for row in rows]
+
+    # A table answers with each row's count, the first one given for a row listed twice.
+    table = ItemsetTable([(np.array(held, np.intp), np.arange(1, len(held) + 1))])
+    present = np.array([row for row in rows if row in count], np.intp).reshape(-1, k)
+    assert table.counts_of(present).tolist() == [count[tuple(row)] for row in present.tolist()]
+    # A row it lacks, a length it lacks and an empty length: no count, and the lattice is incomplete.
+    empty = np.empty((0, k), np.intp)
+    assert (find_rows(row_keys(empty), np.array(rows, np.intp)) == -1).all()
+    for lacking, query in [*((table, [row]) for row in rows if row not in count),
+                           (table, [(0,) * (k + 1)]), (ItemsetTable([(empty, np.empty(0, np.int64))]), rows)]:
+        with pytest.raises(ValueError, match="incomplete itemset lattice"):
+            lacking.counts_of(np.array(query, np.intp))
 
 
 @pytest.mark.parametrize("miner", [mine_fpgrowth, brute_force_frequent])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from electmine.apriori import MinerConfig, mine_apriori
-from electmine.model import ItemDictionary, TransactionDb, encode_rows, row_keys
+from electmine.model import ItemDictionary, TransactionDb, encode_rows
 from electmine.rules import (
     AssociationRule,
     CategoryConfig,
@@ -135,12 +135,23 @@ def test_lattice_missing_a_length_rejected(d5_db):
 
 
 def test_lattice_missing_key_past_the_last_rejected():
-    # Item 2's key sorts past both singleton keys, so its search position is
-    # one past the end of the table.
-    keys = np.sort(row_keys(np.array([[0], [1]], dtype=np.intp)))
-    assert np.searchsorted(keys, row_keys(np.array([[2]], dtype=np.intp)))[0] == len(keys)
+    # Item 2 sorts past both singletons, so its search position is one past the end of the table.
     db = TransactionDb(((0, 1, 2),) * 4, n_items=3)
     frequent = itemset_table({(0,): 4, (1,): 4, (0, 1): 4, (0, 2): 4}.items())
+    assert frequent.counts_of(np.array([[1], [0]])).tolist() == [4, 4]
+    for rows in ([[2]], [[0], [2]]):
+        with pytest.raises(ValueError, match="incomplete itemset lattice"):
+            frequent.counts_of(np.array(rows))
+    with pytest.raises(ValueError, match="incomplete itemset lattice"):
+        generate_rules(frequent, db, Thresholds(0.5, 1e-9, 0.0))
+
+
+def test_lattice_missing_key_before_the_first_rejected():
+    # Item 0 sorts before both singletons, so its search position is the table's first row.
+    db = TransactionDb(((0, 1, 2),) * 4, n_items=3)
+    frequent = itemset_table({(1,): 4, (2,): 4, (0, 2): 4, (1, 2): 4}.items())
+    with pytest.raises(ValueError, match="incomplete itemset lattice"):
+        frequent.counts_of(np.array([[0]]))
     with pytest.raises(ValueError, match="incomplete itemset lattice"):
         generate_rules(frequent, db, Thresholds(0.5, 1e-9, 0.0))
 

@@ -192,7 +192,7 @@ def test_itemset_listed_twice_is_named(d5_db, first):
     if not first:
         miners = dict(reversed(miners.items()))
     report = check_equivalence(d5_db, 0.6, Thresholds(), miners=miners)
-    assert report.as_text() == "divergent: itemset (0,) (count 4) in doubled but not apriori"
+    assert report.as_text() == "divergent: itemset (0,) (count 4) listed twice in doubled"
 
 
 def test_corrupted_miner_is_named(d5_db, data_dir, capsys):
